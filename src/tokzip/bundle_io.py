@@ -36,15 +36,23 @@ def _load_checked(path):
     return arr.astype(np.float64)
 
 
+def read_yaml(path, what):
+    """Parse a YAML file; unreadable files and bad YAML raise a one-line ParseError."""
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except OSError as e:
+        raise ParseError(f"cannot read {what}: {e.strerror}", str(path)) from e
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(e, "problem", None) or " ".join(str(e).split())
+        raise ParseError(f"invalid YAML{where}: {problem}", str(path)) from e
+
+
 def load_bundle(manifest_path):
     """Load and fully validate every sub-image bundle a manifest references."""
     manifest_path = Path(manifest_path)
-    try:
-        doc = yaml.safe_load(manifest_path.read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read manifest: {e.strerror}", str(manifest_path)) from e
-    except yaml.YAMLError as e:
-        raise ParseError(f"invalid YAML: {e}", str(manifest_path)) from e
+    doc = read_yaml(manifest_path, "manifest")
     if not isinstance(doc, dict) or "subimages" not in doc:
         raise ParseError("manifest must be a mapping with a 'subimages' list", str(manifest_path))
     base = manifest_path.parent
@@ -178,10 +186,18 @@ def load_results(results_path):
         index = json.loads(results_path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}", str(results_path)) from e
+    if not isinstance(index, dict) or not isinstance(index.get("subimages"), list):
+        raise ParseError("results index must be a mapping with a 'subimages' list", str(results_path))
     base = results_path.parent
     out = []
-    for entry in index["subimages"]:
-        meta = json.loads((base / entry["meta"]).read_text())
+    for i, entry in enumerate(index["subimages"]):
+        if not isinstance(entry, dict) or not {"meta", "tokens"} <= entry.keys():
+            raise ParseError(f"subimage {i} needs 'meta' and 'tokens' entries", str(results_path))
+        meta_path = base / entry["meta"]
+        try:
+            meta = json.loads(meta_path.read_text())
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e}", str(meta_path)) from e
         meta["tokens_path"] = str(base / entry["tokens"])
         out.append(meta)
     return out

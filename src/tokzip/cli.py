@@ -6,12 +6,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .aggregation import AggregationConfig, aggregate
-from .bundle_io import _json_dump, load_bundle, load_results, write_results
+from .bundle_io import _json_dump, load_bundle, load_results, read_yaml, write_results
 from .density import DensityConfig, compute_density
-from .errors import TokzipError
+from .errors import ParseError, TokzipError, UsageError
 from .harness import baseline_select, oracle_suite
 from .masks import render_masks
 from .pipeline import (
@@ -23,17 +22,27 @@ from .selection import SelectionConfig
 
 
 def _load_config(path, seed_override=None):
-    sections = {"density": {}, "selection": {}, "aggregation": {}}
-    if path:
-        doc = yaml.safe_load(Path(path).read_text()) or {}
-        for key in sections:
-            sections[key].update(doc.get(key, {}))
-    if seed_override is not None:
-        sections["selection"]["seed"] = seed_override
-    density_cfg = DensityConfig(**sections["density"])
-    selection_cfg = SelectionConfig(**sections["selection"])
-    agg_cfg = AggregationConfig(**sections["aggregation"])
-    return density_cfg, selection_cfg, agg_cfg
+    """Build the three stage configs from an optional YAML file of sections."""
+    doc = (read_yaml(path, "config") if path else None) or {}
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a mapping of sections", path)
+    configs = []
+    for section, cls in (("density", DensityConfig), ("selection", SelectionConfig),
+                         ("aggregation", AggregationConfig)):
+        values = doc.get(section) or {}
+        if not isinstance(values, dict):
+            raise ParseError(f"section {section!r} must be a mapping", path)
+        values = dict(values)
+        if section == "selection" and seed_override is not None:
+            values["seed"] = seed_override
+        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ParseError(f"unknown key {unknown[0]!r} in section {section!r}", path)
+        try:
+            configs.append(cls(**values))
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"section {section!r}: {e}", path) from e
+    return tuple(configs)
 
 
 def _config_meta(density_cfg, selection_cfg, agg_cfg, extra=None):
@@ -66,7 +75,10 @@ def _cmd_compress(args):
 
 
 def _cmd_density(args):
-    cfg = DensityConfig(alpha=args.alpha, limit_k=args.limit_k)
+    try:
+        cfg = DensityConfig(alpha=args.alpha, limit_k=args.limit_k)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     bundles = load_bundle(args.manifest)
     print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
     for b in bundles:
@@ -114,6 +126,8 @@ def _cmd_stats(args):
 
 
 def _cmd_masks(args):
+    if args.scale < 1:
+        raise UsageError(f"--scale must be >= 1, got {args.scale}")
     bundles = {b.image_id: b for b in load_bundle(args.manifest)}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -149,6 +163,8 @@ def _result_from_meta(meta, bundle):
 
 
 def _cmd_baseline(args):
+    if args.method == "fixed" and (args.ratio is None or not 0.0 <= args.ratio <= 1.0):
+        raise UsageError("baseline --method fixed needs --ratio in [0, 1]")
     density_cfg = DensityConfig()
     agg_cfg = AggregationConfig()
     bundles = load_bundle(args.manifest)

@@ -11,6 +11,10 @@ from .errors import DimensionMismatchError, EmptyInputError, ZeroRowError
 # Row norms below this are treated as zero.
 ZERO_NORM_EPS = 1e-12
 
+# Rows per block in the O(N^2) kernels (density, aggregation): a block's
+# similarities take BLOCK_ROWS x N float64, whatever N is.
+BLOCK_ROWS = 256
+
 
 def as_matrix(a):
     """Coerce to a 2-D float64 array without copying when already compliant."""
@@ -64,12 +68,15 @@ def normalize_rows(keys):
     return k / norms[:, None]
 
 
-def similarity_matrix(keys_normalized):
-    """Pairwise cosine similarities of unit-normalized rows: S = K K^T."""
-    k = as_matrix(keys_normalized)
-    if k.size == 0:
+def similarity_matrix(a, b=None):
+    """Cosine similarities of unit-normalized rows: S = A B^T, with B = A by default."""
+    a = as_matrix(a)
+    b = a if b is None else as_matrix(b)
+    if a.size == 0 or b.size == 0:
         raise DimensionMismatchError("cannot build a similarity matrix from an empty matrix")
-    return k @ k.T
+    if a.shape[1] != b.shape[1]:
+        raise DimensionMismatchError(f"row lengths differ: {a.shape[1]} vs {b.shape[1]}")
+    return a @ b.T
 
 
 def quantile(values, q):

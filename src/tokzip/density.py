@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import normalize_rows, similarity_matrix
+from .core import BLOCK_ROWS, normalize_rows, similarity_matrix
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,23 @@ def compute_density(keys, cfg=DensityConfig()):
     """Count similar peers per token and report redundancy r and density d = 1 - r.
 
     Comparisons are strict ("> alpha", "> limit_k") exactly as stated.
+
+    Similarity is symmetric, so only the upper block triangle is computed:
+    each block of at most BLOCK_ROWS rows is compared with itself and every
+    later token, and its counts go to its rows and, transposed, to the later
+    columns. No N x N matrix is formed; the working set is O(BLOCK_ROWS * N).
     """
     kn = normalize_rows(keys)
     n = kn.shape[0]
-    sim = similarity_matrix(kn)
-    similar = sim > cfg.alpha
-    if not cfg.count_self:
-        np.fill_diagonal(similar, False)
-    peer_counts = similar.sum(axis=1)
+    peer_counts = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        similar = similarity_matrix(kn[lo:hi], kn[lo:]) > cfg.alpha
+        if not cfg.count_self:
+            diag = np.arange(hi - lo)
+            similar[diag, diag] = False
+        peer_counts[lo:hi] += np.count_nonzero(similar, axis=1)
+        peer_counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
     redundant = peer_counts > cfg.limit_k
     n_red = int(redundant.sum())
     r = n_red / n

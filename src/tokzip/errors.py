@@ -63,6 +63,10 @@ class ParseError(TokzipError):
         super().__init__(f"{where}{message}")
 
 
+class UsageError(TokzipError):
+    """Command-line arguments are missing, out of range or inconsistent."""
+
+
 class NonFiniteValueError(TokzipError):
     """A loaded tensor contains NaN or infinity."""
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .core import BLOCK_ROWS
 from .density import DensityConfig, compute_density
 from .errors import InfeasibleSpecError
 from .pipeline import SubImageBundle
@@ -237,6 +238,21 @@ def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _clustered_keys(rng, n, d, n_clusters):
+    """Keys scattered around a few random centroids, so peer counts run high."""
+    centroids = rng.standard_normal((n_clusters, d))
+    return centroids[rng.integers(0, n_clusters, size=n)] + 0.3 * rng.standard_normal((n, d))
+
+
+def _density_matches(keys, alpha, limit_k, count_self):
+    cfg = DensityConfig(alpha=alpha, limit_k=limit_k, count_self=count_self)
+    rep = compute_density(keys, cfg)
+    n_red, mask = oracle_density(keys, alpha, limit_k, count_self)
+    n = len(keys)
+    return (rep.n_redundant == n_red and np.array_equal(rep.redundant_mask, mask)
+            and rep.redundancy == n_red / n and rep.density == 1 - n_red / n)
+
+
 def _density_equivalence(rng, n_instances):
     for t in range(n_instances):
         n = int(rng.integers(1, 65))
@@ -245,14 +261,14 @@ def _density_equivalence(rng, n_instances):
         alpha = float(rng.uniform(-0.5, 0.95))
         limit_k = int(rng.integers(0, 8))
         count_self = bool(rng.integers(0, 2))
-        cfg = DensityConfig(alpha=alpha, limit_k=limit_k, count_self=count_self)
-        rep = compute_density(keys, cfg)
-        n_red, mask = oracle_density(keys, alpha, limit_k, count_self)
-        if rep.n_redundant != n_red or not np.array_equal(rep.redundant_mask, mask):
+        if not _density_matches(keys, alpha, limit_k, count_self):
             return _check("density_oracle", False, f"mismatch at instance {t}")
-        if rep.redundancy != n_red / n or rep.density != 1 - n_red / n:
-            return _check("density_oracle", False, f"ratio mismatch at instance {t}")
-    return _check("density_oracle", True, f"{n_instances} instances, exact match")
+    # N spans two BLOCK_ROWS row blocks and part of a third; clusters of ~27
+    # tokens against limit_k=25 leave about half the tokens redundant.
+    keys = _clustered_keys(rng, 2 * BLOCK_ROWS + 37, 16, 20)
+    if not _density_matches(keys, 0.8, 25, False):
+        return _check("density_oracle", False, "mismatch at the multi-block instance")
+    return _check("density_oracle", True, f"{n_instances + 1} instances, exact match")
 
 
 def _iqr_equivalence(rng, n_instances):
@@ -286,7 +302,17 @@ def _aggregation_equivalence(rng, n_instances):
         want = oracle_aggregate(tokens, keys, attn, retained, knn_k, include_self)
         if not np.allclose(got, want, atol=1e-6, rtol=0):
             return _check("aggregation_oracle", False, f"mismatch at instance {t}")
-    return _check("aggregation_oracle", True, f"{n_instances} instances, within 1e-6")
+    # More than BLOCK_ROWS retained rows, so aggregate runs two row blocks.
+    n, d = BLOCK_ROWS + 37, 8
+    tokens = rng.standard_normal((n, d))
+    keys = _clustered_keys(rng, n, d, 6)
+    attn = rng.uniform(0.01, 1.0, size=n)
+    retained = np.sort(rng.choice(n, size=BLOCK_ROWS + 3, replace=False))
+    got = aggregate(tokens, keys, attn, retained, AggregationConfig(knn_k=4))
+    want = oracle_aggregate(tokens, keys, attn, retained, 4)
+    if not np.allclose(got, want, atol=1e-6, rtol=0):
+        return _check("aggregation_oracle", False, "mismatch at the multi-block instance")
+    return _check("aggregation_oracle", True, f"{n_instances + 1} instances, within 1e-6")
 
 
 def first_draw_frequency(weights, index, trials, seed=0):

@@ -13,6 +13,7 @@ The format is deliberately tiny so exporters in any ML stack can emit it in
 a few lines; round-trips are bitwise lossless for finite float32 payloads.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -42,26 +43,28 @@ def read_tensor(path):
     dtype, and truncated or oversized payloads.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _HEADER.size:
-        raise ParseError("file shorter than the fixed header", path)
-    magic, version, dtype, ndim = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", path)
-    if version != VERSION:
-        raise ParseError(f"unknown version {version}", path)
-    if dtype != DTYPE_F32:
-        raise ParseError(f"unknown dtype code {dtype}", path)
-    dims_end = _HEADER.size + 4 * ndim
-    if len(data) < dims_end:
-        raise ParseError("truncated dims", path)
-    dims = struct.unpack_from(f"<{ndim}I", data, _HEADER.size)
-    expected = 4 * int(np.prod(dims, dtype=np.int64)) if ndim else 4
-    payload = data[dims_end:]
-    if len(payload) != expected:
-        raise ParseError(
-            f"payload length {len(payload)} does not match dims {dims} (expected {expected})",
-            path,
-        )
-    arr = np.frombuffer(payload, dtype="<f4")
-    return arr.reshape(dims).copy()
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ParseError("file shorter than the fixed header", path)
+        magic, version, dtype, ndim = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ParseError(f"bad magic {magic!r}, expected {MAGIC!r}", path)
+        if version != VERSION:
+            raise ParseError(f"unknown version {version}", path)
+        if dtype != DTYPE_F32:
+            raise ParseError(f"unknown dtype code {dtype}", path)
+        raw_dims = f.read(4 * ndim)
+        if len(raw_dims) < 4 * ndim:
+            raise ParseError("truncated dims", path)
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        count = int(np.prod(dims, dtype=np.int64))
+        payload_len = os.fstat(f.fileno()).st_size - f.tell()
+        if payload_len != 4 * count:
+            raise ParseError(
+                f"payload length {payload_len} does not match dims {dims} (expected {4 * count})",
+                path,
+            )
+        arr = np.fromfile(f, dtype="<f4", count=count)
+    if arr.size != count:
+        raise ParseError(f"payload ended after {arr.size} of {count} values", path)
+    return arr.reshape(dims)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokzip import AggregationConfig, aggregate
+from tokzip import AggregationConfig, aggregate, normalize_rows, similarity_matrix
+from tokzip.aggregation import neighbor_groups
+from tokzip.core import BLOCK_ROWS
 from tokzip.errors import EmptyRetentionError, NeighborCountExceedsTokensError
 from tokzip.harness import oracle_aggregate
 
@@ -93,3 +95,100 @@ def test_deterministic(rng):
     a = aggregate(y, keys, attn, [0, 3], AggregationConfig())
     b = aggregate(y, keys, attn, [0, 3], AggregationConfig())
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the blocked kernel against the per-row reference
+# ---------------------------------------------------------------------------
+
+SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+
+
+def per_row_reference(tokens, keys, attn, retained, knn_k, include_self=True, normalize=True):
+    """One stable argsort per retained row over the full N x N similarities.
+
+    Returns (groups, tokens): the knn_k neighbors of each row, most similar
+    first, and the weighted group sums.
+    """
+    y = np.asarray(tokens, dtype=np.float64)
+    sim = similarity_matrix(normalize_rows(keys))
+    groups, rows = [], []
+    for l in retained:
+        sims = sim[l].copy()
+        sims[l] = -np.inf
+        neighbors = np.argsort(-sims, kind="stable")[:knn_k]
+        group = np.concatenate([[l], neighbors]) if include_self else neighbors
+        w = attn[group]
+        if normalize:
+            total = w.sum()
+            w = w / total if total > 0 else np.full(group.size, 1.0 / group.size)
+        groups.append(neighbors)
+        rows.append(w @ y[group])
+    return np.array(groups, dtype=np.intp).reshape(len(retained), knn_k), np.vstack(rows)
+
+
+@pytest.mark.parametrize("kind", ["distinct", "duplicated"])
+@pytest.mark.parametrize("n,n_ret", [(n, r) for n in SIZES for r in SIZES if r <= n])
+def test_blocked_matches_per_row_reference(n, n_ret, kind, lattice_keys):
+    # "duplicated" keys tie exactly, at the k-th place too; "distinct" ones do not tie.
+    rng = np.random.default_rng(n * 1000 + n_ret)
+    d = 16
+    y = rng.standard_normal((n, d))
+    keys = lattice_keys(rng, n, d) if kind == "duplicated" else rng.standard_normal((n, d))
+    attn = rng.uniform(0.01, 1.0, n)
+    retained = np.sort(rng.choice(n, size=n_ret, replace=False))
+    knn_k = min(3, n - 1)
+
+    want_groups, want = per_row_reference(y, keys, attn, retained, knn_k)
+    np.testing.assert_array_equal(neighbor_groups(normalize_rows(keys), retained, knn_k),
+                                  want_groups)
+    got = aggregate(y, keys, attn, retained, AggregationConfig(knn_k=knn_k))
+    np.testing.assert_array_equal(got, want)
+
+    # Rows on both sides of each block boundary, against the brute-force oracle.
+    probe = sorted({0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS, n_ret - 1} & set(range(n_ret)))
+    oracle = oracle_aggregate(y, keys, attn, retained[probe], knn_k)
+    np.testing.assert_allclose(got[probe], oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [AggregationConfig(knn_k=0), AggregationConfig(knn_k=5, include_self=False),
+     AggregationConfig(knn_k=4, normalize_weights=False), AggregationConfig(knn_k=40)],
+    ids=["k0", "no_self", "unnormalized", "k40"],
+)
+def test_blocked_config_variants(cfg, lattice_keys):
+    rng = np.random.default_rng(5)
+    n, d = 2 * BLOCK_ROWS + 3, 16
+    y = rng.standard_normal((n, d))
+    keys = lattice_keys(rng, n, d)
+    attn = rng.uniform(0.01, 1.0, n)
+    retained = np.sort(rng.choice(n, size=BLOCK_ROWS + 1, replace=False))
+    _, want = per_row_reference(y, keys, attn, retained, cfg.knn_k, cfg.include_self,
+                                cfg.normalize_weights)
+    np.testing.assert_array_equal(aggregate(y, keys, attn, retained, cfg), want)
+
+
+def test_all_zero_group_weights_average_uniformly(lattice_keys):
+    rng = np.random.default_rng(6)
+    n, d = BLOCK_ROWS + 1, 8
+    y = rng.standard_normal((n, d))
+    keys = lattice_keys(rng, n, d)
+    # Only copies of row 0 carry attention, so many groups weigh zero in total.
+    attn = np.where((keys == keys[0]).all(axis=1), 1.0, 0.0)
+    retained = np.arange(n)
+    _, want = per_row_reference(y, keys, attn, retained, 3)
+    got = aggregate(y, keys, attn, retained, AggregationConfig(knn_k=3))
+    np.testing.assert_array_equal(got, want)
+    zero = np.flatnonzero(attn == 0)
+    groups = np.concatenate([zero[:, None], neighbor_groups(normalize_rows(keys), zero, 3)], axis=1)
+    isolated = (attn[groups] == 0).all(axis=1)
+    assert isolated.any()
+    np.testing.assert_allclose(got[zero[isolated]], y[groups[isolated]].mean(axis=1),
+                               rtol=0, atol=1e-12)
+
+
+def test_empty_group_rejected(rng):
+    with pytest.raises(ValueError):
+        aggregate(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)), np.ones(4), [0],
+                  AggregationConfig(knn_k=0, include_self=False))

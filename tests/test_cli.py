@@ -115,3 +115,34 @@ def test_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ")
     assert "\n" not in err
+
+
+
+# name -> (files written under tmp_path, command line); each exited with a traceback before.
+BAD_INPUTS = {
+    "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
+                           "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "invalid_config_yaml": ({"c.yaml": "density: [a, b\n"},
+                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "invalid_manifest_yaml": ({"m.yaml": "subimages: [a, b\n"}, "density --manifest {t}/m.yaml"),
+    "results_without_subimages": ({"results.json": '{"config": {}}'},
+                                  "stats --results {t}/results.json --out {t}/o"),
+    "fixed_without_ratio": ({}, "baseline --manifest {manifest} --out {t}/o --method fixed"),
+    "alpha_out_of_range": ({}, "density --manifest {manifest} --alpha 2"),
+    "scale_zero": ({}, "masks --manifest {manifest} --results {t}/run/results.json --out {t}/o "
+                       "--scale 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
+    files, command = BAD_INPUTS[case]
+    assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(command.format(manifest=manifest, t=tmp_path).split()) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if case == "unknown_config_key":
+        assert "'alpah'" in err

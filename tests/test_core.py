@@ -54,6 +54,16 @@ class TestSimilarityMatrix:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatchError):
             similarity_matrix(np.empty((0, 4)))
+        with pytest.raises(DimensionMismatchError):
+            similarity_matrix(np.ones((2, 4)), np.empty((0, 4)))
+
+    def test_second_operand(self, rng):
+        a = normalize_rows(rng.standard_normal((3, 5)))
+        b = normalize_rows(rng.standard_normal((7, 5)))
+        np.testing.assert_array_equal(similarity_matrix(a, b), a @ b.T)
+        np.testing.assert_array_equal(similarity_matrix(a, a), similarity_matrix(a))
+        with pytest.raises(DimensionMismatchError):
+            similarity_matrix(a, b[:, :4])
 
     def test_normalized_similarity_invariants(self, rng):
         k = rng.standard_normal((10, 6))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokzip import DensityConfig, compute_density
+from tokzip import DensityConfig, compute_density, normalize_rows, similarity_matrix
+from tokzip.core import BLOCK_ROWS
 from tokzip.errors import ZeroRowError
 from tokzip.harness import oracle_density
 
@@ -104,3 +105,45 @@ def test_cluster_construction_density(clone_bundle, clone_density_cfg):
     assert rep.n_redundant == 12
     assert rep.density == 0.25
     assert rep.redundant_mask[:12].all() and not rep.redundant_mask[12:].any()
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the blocked kernel against the full-matrix reference
+# ---------------------------------------------------------------------------
+
+SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+
+
+def full_matrix_peer_counts(keys, alpha, count_self):
+    """Peer counts from the whole N x N similarity matrix at once."""
+    kn = normalize_rows(keys)
+    similar = similarity_matrix(kn) > alpha
+    if not count_self:
+        np.fill_diagonal(similar, False)
+    return similar.sum(axis=1)
+
+
+@pytest.mark.parametrize("count_self", [False, True])
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_counts_match_full_matrix_and_oracle(n, count_self, lattice_keys):
+    rng = np.random.default_rng(n)
+    keys = lattice_keys(rng, n)
+    counts = full_matrix_peer_counts(keys, 0.5, count_self)
+    # The masks at every limit_k a token sits on pin down every peer count.
+    for limit_k in np.unique(counts):
+        rep = compute_density(keys, DensityConfig(alpha=0.5, limit_k=int(limit_k),
+                                                  count_self=count_self))
+        np.testing.assert_array_equal(rep.redundant_mask, counts > limit_k)
+    limit_k = int(np.median(counts))
+    rep = compute_density(keys, DensityConfig(alpha=0.5, limit_k=limit_k, count_self=count_self))
+    n_red, mask = oracle_density(keys, 0.5, limit_k, count_self)
+    assert rep.n_redundant == n_red
+    np.testing.assert_array_equal(rep.redundant_mask, mask)
+
+
+def test_blocked_counts_on_gaussian_keys(rng):
+    keys = rng.standard_normal((2 * BLOCK_ROWS + 3, 6))
+    counts = full_matrix_peer_counts(keys, 0.6, False)
+    for limit_k in np.unique(counts):
+        rep = compute_density(keys, DensityConfig(alpha=0.6, limit_k=int(limit_k)))
+        np.testing.assert_array_equal(rep.redundant_mask, counts > limit_k)

@@ -56,6 +56,7 @@ def test_header_is_little_endian_layout(tmp_path):
         (lambda d: d[:-2], "payload length"),
         (lambda d: d + b"\x00" * 8, "payload length"),
         (lambda d: d[:5], "shorter than"),
+        (lambda d: d[:10], "truncated dims"),
     ],
 )
 def test_corrupted_headers(tmp_path, mangle, msg):
