@@ -4,6 +4,8 @@ Three sub-images of increasing redundancy plus an uncompressed global image;
 the realized ratios track the information content of each crop.
 """
 
+import dataclasses
+
 from tokzip import (
     DensityConfig,
     SelectionConfig,
@@ -24,13 +26,10 @@ for i, rho in enumerate((0.1, 0.5, 0.85)):
             seed=i,
         )
     )
-    b.image_id = f"crop_{i}"
-    bundles.append(b)
+    bundles.append(dataclasses.replace(b, image_id=f"crop_{i}"))
 
 global_img = generate(SyntheticSpec(n_tokens=144, dim=160, redundancy_fraction=0.0, seed=9))
-global_img.is_global = True
-global_img.image_id = "global"
-bundles.append(global_img)
+bundles.append(dataclasses.replace(global_img, is_global=True, image_id="global"))
 
 results = compress_document(
     bundles,
@@ -49,7 +48,7 @@ for b, r in zip(bundles, results):
             f"global={counts['global'] + counts['both']} local-only={counts['local']}"
         )
 
-stats = corpus_stats(results)
+stats = corpus_stats([r.ratio for r in results if not r.is_global_passthrough])
 s = stats.per_label["all"]
 print(
     f"\ncorpus: mean ratio {s['mean']:.3f}, "

@@ -26,7 +26,8 @@ for rho in np.arange(0.0, 1.0, 0.1):
                                         redundancy_fraction=float(rho), seed=seed))
         res = compress_subimage(bundle, dcfg, SelectionConfig(seed=seed))
         adaptive.append(res.ratio)
-        sel = baseline_select("fixed", bundle, seed=seed, ratio=0.5, density_cfg=dcfg)
+        sel = baseline_select("fixed", bundle.attn_deep, bundle.attn_low,
+                              res.density_report.density, SelectionConfig(seed=seed), ratio=0.5)
         fixed.append(sel.merged_indices.size / N)
     print(f"{rho:.1f}   {np.mean(adaptive):.3f}     {np.mean(fixed):.3f}")
 

@@ -38,6 +38,8 @@ class AggregationConfig:
     def __post_init__(self):
         if self.knn_k < 0:
             raise ValueError(f"knn_k must be >= 0, got {self.knn_k}")
+        if self.knn_k == 0 and not self.include_self:
+            raise ValueError("empty aggregation group: knn_k=0 with include_self=False")
 
 
 def neighbor_groups(keys_normalized, rows, knn_k):
@@ -90,8 +92,6 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
         raise NeighborCountExceedsTokensError(
             f"knn_k={cfg.knn_k} but only {n - 1} candidate neighbors exist"
         )
-    if cfg.knn_k == 0 and not cfg.include_self:
-        raise ValueError("empty aggregation group: knn_k=0 with include_self=False")
 
     kn = normalize_rows(keys_deep)
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)

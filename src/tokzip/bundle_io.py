@@ -15,7 +15,6 @@ import yaml
 from .core import ZERO_NORM_EPS
 from .errors import (
     DimensionMismatchError,
-    MultipleGlobalImagesError,
     NonFiniteValueError,
     ParseError,
     ZeroRowError,
@@ -39,7 +38,7 @@ def _load_checked(path):
 def read_yaml(path, what):
     """Parse a YAML file; unreadable files and bad YAML raise a one-line ParseError."""
     try:
-        return yaml.safe_load(Path(path).read_text())
+        return yaml.safe_load(Path(path).read_bytes())  # bad UTF-8 is a YAMLError
     except OSError as e:
         raise ParseError(f"cannot read {what}: {e.strerror}", str(path)) from e
     except yaml.YAMLError as e:
@@ -49,63 +48,56 @@ def read_yaml(path, what):
         raise ParseError(f"invalid YAML{where}: {problem}", str(path)) from e
 
 
+def _int_pair(entry, key, default, low, where):
+    """entry[key] as a tuple of two ints >= low; ParseError naming the key otherwise."""
+    value = entry.get(key, default)
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(type(v) is int and v >= low for v in value)):
+        raise ParseError(f"{key} must be two integers >= {low}, got {value!r}", where)
+    return tuple(value)
+
+
 def load_bundle(manifest_path):
     """Load and fully validate every sub-image bundle a manifest references."""
     manifest_path = Path(manifest_path)
+    where = str(manifest_path)
     doc = read_yaml(manifest_path, "manifest")
-    if not isinstance(doc, dict) or "subimages" not in doc:
-        raise ParseError("manifest must be a mapping with a 'subimages' list", str(manifest_path))
+    if not isinstance(doc, dict) or not isinstance(doc.get("subimages"), list):
+        raise ParseError("manifest must be a mapping with a 'subimages' list", where)
     base = manifest_path.parent
     bundles = []
-    n_global = 0
     for i, entry in enumerate(doc["subimages"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"subimage {i} must be a mapping", where)
         tensors = {}
-        for name in TENSOR_FIELDS:
-            if name not in entry:
-                raise ParseError(f"subimage {i} is missing '{name}'", str(manifest_path))
-            tensors[name] = _load_checked(base / entry[name])
-        n = tensors["y_last"].shape[0]
-        for name in ("keys_low", "keys_deep"):
-            k = tensors[name]
-            if k.ndim != 2 or k.shape[0] != n:
+        for name in TENSOR_FIELDS:  # y_last comes first and sets N
+            path = entry.get(name)
+            if not isinstance(path, str) or "\0" in path:
+                raise ParseError(f"subimage {i} needs a file path '{name}'", where)
+            t = tensors[name] = _load_checked(base / path)
+            y_shape = tensors["y_last"].shape
+            if t.ndim != (1 if name.startswith("attn") else 2) or t.shape[:1] != y_shape[:1]:
                 raise DimensionMismatchError(
-                    f"{entry[name]} has shape {k.shape} but {entry['y_last']} has {n} rows"
+                    f"{path} has shape {t.shape}; y_last {entry['y_last']} has shape {y_shape}"
                 )
-            norms = np.linalg.norm(k, axis=1)
-            small = np.flatnonzero(norms < ZERO_NORM_EPS)
-            if small.size:
-                raise ZeroRowError(int(small[0]), str(base / entry[name]))
-        for name in ("attn_low", "attn_deep"):
-            a = tensors[name]
-            if a.ndim != 1 or a.shape[0] != n:
-                raise DimensionMismatchError(
-                    f"{entry[name]} has shape {a.shape} but {entry['y_last']} has {n} rows"
-                )
-            total = float(a.sum())
-            if abs(total - 1.0) > ATTENTION_SUM_WARN_TOL:
-                warnings.warn(
-                    f"{entry[name]}: attention sums to {total:.6g}, not 1; "
-                    "it will be renormalized where needed",
-                    stacklevel=2,
-                )
-        is_global = bool(entry.get("is_global", False))
-        n_global += is_global
-        bundle = SubImageBundle(
-            y_last=tensors["y_last"],
-            keys_low=tensors["keys_low"],
-            attn_low=tensors["attn_low"],
-            keys_deep=tensors["keys_deep"],
-            attn_deep=tensors["attn_deep"],
-            grid_shape=tuple(entry.get("grid_shape", (1, n))),
-            is_global=is_global,
+            if name.startswith("keys"):
+                small = np.flatnonzero(np.linalg.norm(t, axis=1) < ZERO_NORM_EPS)
+                if small.size:
+                    raise ZeroRowError(int(small[0]), str(base / path))
+            elif name.startswith("attn") and abs(float(t.sum()) - 1.0) > ATTENTION_SUM_WARN_TOL:
+                warnings.warn(f"{path}: attention sums to {float(t.sum()):.6g}, not 1; "
+                              "it will be renormalized where needed", stacklevel=2)
+        image_id = str(entry.get("image_id", f"subimage_{i}"))
+        if "/" in image_id or "\0" in image_id:
+            raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
+        bundles.append(SubImageBundle(
+            **tensors,
+            grid_shape=_int_pair(entry, "grid_shape", (1, len(tensors["y_last"])), 1, where),
+            is_global=bool(entry.get("is_global", False)),
             dataset=str(entry.get("dataset", "default")),
-            image_id=str(entry.get("image_id", f"subimage_{i}")),
-            crop_position=tuple(entry.get("crop_position", (0, 0))),
-        )
-        bundle.validate()
-        bundles.append(bundle)
-    if n_global > 1:
-        raise MultipleGlobalImagesError(f"{n_global} bundles are marked is_global")
+            image_id=image_id,
+            crop_position=_int_pair(entry, "crop_position", (0, 0), 0, where),
+        ))
     return bundles
 
 
@@ -179,25 +171,29 @@ def write_results(out_dir, bundles, results, config_meta):
     return out_dir / "results.json"
 
 
+def _read_json_mapping(path, what):
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"invalid JSON: {e}", str(path)) from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object", str(path))
+    return doc
+
+
 def load_results(results_path):
     """Read back a results.json index and its per-sub-image metadata."""
     results_path = Path(results_path)
-    try:
-        index = json.loads(results_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", str(results_path)) from e
-    if not isinstance(index, dict) or not isinstance(index.get("subimages"), list):
+    index = _read_json_mapping(results_path, "results index")
+    if not isinstance(index.get("subimages"), list):
         raise ParseError("results index must be a mapping with a 'subimages' list", str(results_path))
     base = results_path.parent
     out = []
     for i, entry in enumerate(index["subimages"]):
-        if not isinstance(entry, dict) or not {"meta", "tokens"} <= entry.keys():
-            raise ParseError(f"subimage {i} needs 'meta' and 'tokens' entries", str(results_path))
-        meta_path = base / entry["meta"]
-        try:
-            meta = json.loads(meta_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}", str(meta_path)) from e
+        if not (isinstance(entry, dict) and isinstance(entry.get("meta"), str)
+                and isinstance(entry.get("tokens"), str)):
+            raise ParseError(f"subimage {i} needs 'meta' and 'tokens' file names", str(results_path))
+        meta = _read_json_mapping(base / entry["meta"], "sub-image metadata")
         meta["tokens_path"] = str(base / entry["tokens"])
         out.append(meta)
     return out

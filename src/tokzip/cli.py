@@ -2,22 +2,18 @@
 
 import argparse
 import dataclasses
+import functools
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
-
-from .aggregation import AggregationConfig, aggregate
+from .aggregation import AggregationConfig
 from .bundle_io import _json_dump, load_bundle, load_results, read_yaml, write_results
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError
 from .harness import baseline_select, oracle_suite
-from .masks import render_masks
-from .pipeline import (
-    CompressionResult,
-    compress_document,
-    corpus_stats,
-)
+from .masks import PROVENANCE_LEVEL, render_masks
+from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats
 from .selection import SelectionConfig
 
 
@@ -35,12 +31,16 @@ def _load_config(path, seed_override=None):
         values = dict(values)
         if section == "selection" and seed_override is not None:
             values["seed"] = seed_override
-        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ParseError(f"unknown key {unknown[0]!r} in section {section!r}", path)
+        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        for key, value in values.items():
+            if key not in types:
+                raise ParseError(f"unknown key {key!r} in section {section!r}", path)
+            if not (type(value) is types[key] or types[key] is float and type(value) is int):
+                raise ParseError(f"section {section!r}: {key} must be of type "
+                                 f"{types[key].__name__}, got {value!r}", path)
         try:
             configs.append(cls(**values))
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ParseError(f"section {section!r}: {e}", path) from e
     return tuple(configs)
 
@@ -91,29 +91,28 @@ def _cmd_density(args):
 
 
 def _cmd_stats(args):
+    if args.labels and len(args.labels) != len(args.results):
+        raise UsageError(f"{len(args.labels)} --labels for {len(args.results)} --results")
     ratios, labels = [], []
     for i, results_path in enumerate(args.results):
         label = args.labels[i] if args.labels else Path(results_path).parent.name
         for meta in load_results(results_path):
             if meta.get("is_global_passthrough"):
                 continue
-            ratios.append(meta["ratio"])
+            ratio = meta.get("ratio")
+            if type(ratio) not in (int, float) or not 0 <= ratio <= 1:
+                raise ParseError(f"{meta.get('image_id')!r}: ratio must be a number in [0, 1]",
+                                 results_path)
+            ratios.append(ratio)
             labels.append(label)
-
-    class _R:
-        is_global_passthrough = False
-
-        def __init__(self, ratio):
-            self.ratio = ratio
-
-    stats = corpus_stats([_R(r) for r in ratios], labels)
+    stats = corpus_stats(ratios, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump(out / "stats.json", stats.to_dict())
     for label, s in stats.per_label.items():
         hist_lines = ["bin_low,bin_high,count"]
         for i, count in enumerate(s["histogram"]):
-            hist_lines.append(f"{i * 0.05:.2f},{(i + 1) * 0.05:.2f},{count}")
+            hist_lines.append(f"{i * HIST_BIN_WIDTH:.2f},{(i + 1) * HIST_BIN_WIDTH:.2f},{count}")
         (out / f"{label}_hist.csv").write_text("\n".join(hist_lines) + "\n")
         box = ["stat,value"] + [f"{k},{s[k]}" for k in ("min", "q1", "median", "q3", "max", "mean")]
         (out / f"{label}_boxplot.csv").write_text("\n".join(box) + "\n")
@@ -125,6 +124,14 @@ def _cmd_stats(args):
     return 0
 
 
+def _meta_list(meta, key, valid, where):
+    """meta[key] as a list of items that pass valid(); ParseError otherwise."""
+    value = meta.get(key)
+    if not isinstance(value, list) or not all(valid(x) for x in value):
+        raise ParseError(f"{meta.get('image_id')!r}: {key} is missing or has a bad entry", where)
+    return value
+
+
 def _cmd_masks(args):
     if args.scale < 1:
         raise UsageError(f"--scale must be >= 1, got {args.scale}")
@@ -132,73 +139,34 @@ def _cmd_masks(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for meta in load_results(args.results):
-        bundle = bundles[meta["image_id"]]
-        res = _result_from_meta(meta, bundle)
-        red, sel = render_masks(bundle, res, out / meta["image_id"], scale=args.scale)
-        print(f"{meta['image_id']}: wrote {red.name}, {sel.name}")
+        image_id = meta.get("image_id")
+        if not isinstance(image_id, str) or image_id not in bundles:
+            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", args.results)
+        n = bundles[image_id].n_tokens
+        retained = _meta_list(meta, "retained_indices", lambda i: type(i) is int and 0 <= i < n,
+                              args.results)
+        tags = _meta_list(meta, "branch_provenance",
+                          lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, args.results)
+        mask = (_meta_list(meta, "redundant_mask", lambda r: type(r) is bool, args.results)
+                if "redundant_mask" in meta else None)
+        passthrough = bool(meta.get("is_global_passthrough"))
+        if not passthrough and len(tags) != len(retained):
+            raise ParseError(f"{image_id!r}: {len(retained)} retained indices but {len(tags)} tags",
+                             args.results)
+        red, sel = render_masks(bundles[image_id].grid_shape, retained, tags, mask, passthrough,
+                                out / image_id, scale=args.scale)
+        print(f"{image_id}: wrote {red.name}, {sel.name}")
     return 0
-
-
-def _result_from_meta(meta, bundle):
-    from .density import DensityReport
-
-    report = None
-    if "redundant_mask" in meta:
-        mask = np.asarray(meta["redundant_mask"], dtype=bool)
-        report = DensityReport(
-            n_redundant=meta["n_redundant"],
-            redundancy=meta["redundancy"],
-            density=meta["density"],
-            redundant_mask=mask,
-        )
-    return CompressionResult(
-        retained_indices=np.asarray(meta["retained_indices"], dtype=np.intp),
-        compressed_tokens=np.empty((0, 0)),
-        density_report=report,
-        branch_provenance=meta["branch_provenance"],
-        ratio=meta["ratio"],
-        n_original=meta["n_original"],
-        is_global_passthrough=meta.get("is_global_passthrough", False),
-    )
 
 
 def _cmd_baseline(args):
     if args.method == "fixed" and (args.ratio is None or not 0.0 <= args.ratio <= 1.0):
         raise UsageError("baseline --method fixed needs --ratio in [0, 1]")
-    density_cfg = DensityConfig()
-    agg_cfg = AggregationConfig()
+    density_cfg, selection_cfg, agg_cfg = _load_config(None, args.seed)
+    select = functools.partial(baseline_select, args.method, ratio=args.ratio)
     bundles = load_bundle(args.manifest)
-    results = []
-    for bundle in bundles:
-        if bundle.is_global:
-            n = bundle.n_tokens
-            results.append(
-                CompressionResult(
-                    retained_indices=np.arange(n, dtype=np.intp),
-                    compressed_tokens=np.asarray(bundle.y_last, dtype=np.float64).copy(),
-                    density_report=None,
-                    branch_provenance=[],
-                    ratio=1.0,
-                    n_original=n,
-                    is_global_passthrough=True,
-                )
-            )
-            continue
-        sel = baseline_select(args.method, bundle, seed=args.seed, ratio=args.ratio,
-                              density_cfg=density_cfg)
-        merged = sel.merged_indices
-        compressed = aggregate(bundle.y_last, bundle.keys_deep, bundle.attn_deep, merged, agg_cfg)
-        results.append(
-            CompressionResult(
-                retained_indices=merged,
-                compressed_tokens=compressed,
-                density_report=compute_density(bundle.keys_low, density_cfg),
-                branch_provenance=["local"] * merged.size,
-                ratio=merged.size / bundle.n_tokens,
-                n_original=bundle.n_tokens,
-            )
-        )
-    meta = _config_meta(density_cfg, SelectionConfig(seed=args.seed), agg_cfg,
+    results = compress_document(bundles, density_cfg, selection_cfg, agg_cfg, select)
+    meta = _config_meta(density_cfg, selection_cfg, agg_cfg,
                         {"baseline_method": args.method, "baseline_ratio": args.ratio})
     write_results(args.out, bundles, results, meta)
     for bundle, res in zip(bundles, results):
@@ -267,11 +235,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (TokzipError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # each warning as one line, like errors
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (TokzipError, OSError) as e:
+            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -119,35 +119,28 @@ def generate(spec):
         grid_shape=_grid_shape(n),
         dataset=f"synthetic_rho{spec.redundancy_fraction:g}",
         image_id=f"synthetic_{spec.seed}",
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
 # Baseline selectors (ablation axes: random / uniform stride / fixed ratio)
 # ---------------------------------------------------------------------------
 
-def baseline_select(
-    method,
-    bundle,
-    seed=0,
-    ratio=None,
-    density_cfg=DensityConfig(),
-    selection_cfg=None,
-):
+def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(), ratio=None):
     """Non-adaptive selection baselines, emitted as ordinary SelectionResults.
 
     random  - m uniform indices without replacement, m from the adaptive path
     uniform - stride sampling at the adaptive m
     fixed   - attention-guided sampling at count round(ratio * N)
+
+    Bound to method and ratio (functools.partial), it is a `select` step for
+    compress_subimage. cfg.seed drives random and fixed; attn_deep is unused.
     """
-    n = bundle.n_tokens
-    if selection_cfg is None:
-        selection_cfg = SelectionConfig(seed=seed)
+    n = np.size(attn_low)
     if method in ("random", "uniform"):
-        d = compute_density(bundle.keys_low, density_cfg).density
-        m = local_sample_count(d, n)
+        m = local_sample_count(density, n)
         if method == "random":
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(cfg.seed)
             chosen = np.sort(rng.choice(n, size=m, replace=False)) if m else np.empty(0, dtype=np.intp)
         else:
             stride = math.ceil(n / m) if m else n + 1
@@ -156,7 +149,7 @@ def baseline_select(
         if ratio is None or not 0.0 <= ratio <= 1.0:
             raise ValueError("fixed baseline needs ratio in [0, 1]")
         m = min(max(math.floor(ratio * n + 0.5), 0), n)
-        chosen = local_select(bundle.attn_low, m, selection_cfg)
+        chosen = local_select(attn_low, m, cfg)
     else:
         raise ValueError(f"unknown baseline method {method!r}")
     chosen = np.asarray(chosen, dtype=np.intp)
@@ -362,10 +355,11 @@ def _random_baseline_marginal(seed, trials):
     # adaptive m at N=6 is 2; each index then has hypergeometric marginal 1/3.
     n, m = 6, 2
     bundle = generate(SyntheticSpec(n_tokens=n, dim=n, redundancy_fraction=2 / 3, seed=seed))
-    dcfg = DensityConfig(alpha=0.7, limit_k=2)
+    d = compute_density(bundle.keys_low, DensityConfig(alpha=0.7, limit_k=2)).density
     hits = np.zeros(n)
     for t in range(trials):
-        sel = baseline_select("random", bundle, seed=seed + t, density_cfg=dcfg)
+        sel = baseline_select("random", bundle.attn_deep, bundle.attn_low, d,
+                              SelectionConfig(seed=seed + t))
         assert sel.merged_indices.size == m
         hits[sel.merged_indices] += 1
     freqs = hits / trials

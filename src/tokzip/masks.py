@@ -16,7 +16,7 @@ LEVEL_DROPPED = 0
 LEVEL_LOCAL = 128
 LEVEL_GLOBAL = 255
 
-_PROVENANCE_LEVEL = {
+PROVENANCE_LEVEL = {
     "global": LEVEL_GLOBAL,
     "both": LEVEL_GLOBAL,
     "local": LEVEL_LOCAL,
@@ -37,28 +37,32 @@ def write_pgm(path, grid, scale=1):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def render_masks(bundle, result, out_prefix, scale=1):
+def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
+                 out_prefix, scale=1):
     """Emit redundancy and selection masks for one sub-image.
 
-    Returns the two written paths. Patch index i maps to grid cell
+    retained and provenance are a result's retained indices and their branch
+    tags; redundant_mask is its density report's bool mask, or None when it
+    has none; passthrough marks the uncompressed global image, drawn as all
+    retained. Returns the two written paths. Patch index i maps to grid cell
     (i // cols, i % cols), matching raster token order.
     """
-    rows, cols = bundle.grid_shape
-    n = bundle.n_tokens
-    if rows * cols != n:
-        raise GridMismatchError(f"grid {bundle.grid_shape} does not tile {n} tokens")
+    rows, cols = grid_shape
+    n = rows * cols
+    if redundant_mask is not None and np.size(redundant_mask) != n:
+        raise GridMismatchError(f"grid {grid_shape} does not tile {np.size(redundant_mask)} tokens")
     out_prefix = Path(out_prefix)
 
     redundancy = np.zeros(n, dtype=np.uint8)
-    if result.density_report is not None:
-        redundancy[np.asarray(result.density_report.redundant_mask, dtype=bool)] = 255
+    if redundant_mask is not None:
+        redundancy[np.asarray(redundant_mask, dtype=bool)] = 255
     red_path = out_prefix.with_name(out_prefix.name + "_redundancy.pgm")
     write_pgm(red_path, redundancy.reshape(rows, cols), scale)
 
     selection = np.full(n, LEVEL_DROPPED, dtype=np.uint8)
-    for idx, tag in zip(result.retained_indices, result.branch_provenance):
-        selection[int(idx)] = _PROVENANCE_LEVEL[tag]
-    if result.is_global_passthrough:
+    for idx, tag in zip(retained, provenance):
+        selection[int(idx)] = PROVENANCE_LEVEL[tag]
+    if passthrough:
         selection[:] = LEVEL_GLOBAL
     sel_path = out_prefix.with_name(out_prefix.name + "_selection.pgm")
     write_pgm(sel_path, selection.reshape(rows, cols), scale)

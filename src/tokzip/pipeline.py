@@ -25,7 +25,7 @@ HIST_BIN_WIDTH = 0.05
 HIST_BINS = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubImageBundle:
     """All tensors the pipeline needs for one sub-image.
 
@@ -34,6 +34,8 @@ class SubImageBundle:
     attn_low:  low-layer CLS attention (local-branch sampling distribution)
     keys_deep: deep-layer attention keys (aggregation similarity)
     attn_deep: deep-layer CLS attention (global branch + merge weights)
+
+    Validated once, when built; derive a changed copy with dataclasses.replace.
     """
 
     y_last: np.ndarray
@@ -46,6 +48,9 @@ class SubImageBundle:
     dataset: str = "default"
     image_id: str = ""
     crop_position: tuple = (0, 0)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_tokens(self):
@@ -71,7 +76,6 @@ class SubImageBundle:
             raise DimensionMismatchError(
                 f"grid_shape {self.grid_shape} does not tile {n} tokens"
             )
-        return self
 
 
 @dataclass
@@ -116,13 +120,17 @@ def compress_subimage(
     density_cfg=DensityConfig(),
     selection_cfg=SelectionConfig(),
     agg_cfg=AggregationConfig(),
+    select=None,
 ):
-    """Run the full compression chain on one non-global sub-image."""
+    """Run the full compression chain on one non-global sub-image.
+
+    `select(attn_deep, attn_low, density, selection_cfg)` returns the
+    SelectionResult; None means select_tokens. The baselines plug in here.
+    """
     if bundle.is_global:
         raise GlobalImageRejectedError("the global image bundle is never compressed")
-    bundle.validate()
     report = compute_density(bundle.keys_low, density_cfg)
-    sel = select_tokens(
+    sel = (select or select_tokens)(
         bundle.attn_deep, bundle.attn_low, report.density, selection_cfg
     )
     merged = sel.merged_indices
@@ -146,12 +154,13 @@ def compress_document(
     density_cfg=DensityConfig(),
     selection_cfg=SelectionConfig(),
     agg_cfg=AggregationConfig(),
+    select=None,
 ):
     """Compress every non-global bundle independently; pass the global one through.
 
     Each bundle gets its own generator seeded from selection_cfg.seed, so
     results do not depend on processing order and identical bundles under the
-    same seed produce identical results.
+    same seed produce identical results. `select` is as in compress_subimage.
     """
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:
@@ -159,7 +168,6 @@ def compress_document(
     results = []
     for bundle in bundles:
         if bundle.is_global:
-            bundle.validate()
             n = bundle.n_tokens
             results.append(
                 CompressionResult(
@@ -174,7 +182,7 @@ def compress_document(
             )
         else:
             results.append(
-                compress_subimage(bundle, density_cfg, selection_cfg, agg_cfg)
+                compress_subimage(bundle, density_cfg, selection_cfg, agg_cfg, select)
             )
     return results
 
@@ -208,23 +216,22 @@ def _label_stats(ratios):
     }
 
 
-def corpus_stats(results, dataset_labels=None):
+def corpus_stats(ratios, dataset_labels=None):
     """Quartiles, mean and fixed-width histogram of ratios, per dataset label.
 
-    Only non-global results are counted; the global image is not a sub-image.
+    `ratios`, each in [0, 1], are of sub-images only: leave out the global image.
     """
-    usable = [res for res in results if not res.is_global_passthrough]
-    if not usable:
+    if not len(ratios):
         raise EmptyCorpusError("no sub-image results to summarize")
     if dataset_labels is None:
-        dataset_labels = ["all"] * len(usable)
-    elif len(dataset_labels) != len(usable):
+        dataset_labels = ["all"] * len(ratios)
+    elif len(dataset_labels) != len(ratios):
         raise DimensionMismatchError(
-            f"{len(dataset_labels)} labels for {len(usable)} sub-image results"
+            f"{len(dataset_labels)} labels for {len(ratios)} sub-image ratios"
         )
     by_label = {}
-    for res, label in zip(usable, dataset_labels):
-        by_label.setdefault(label, []).append(res.ratio)
+    for ratio, label in zip(ratios, dataset_labels):
+        by_label.setdefault(label, []).append(ratio)
     return CorpusStats(
         per_label={label: _label_stats(v) for label, v in sorted(by_label.items())}
     )

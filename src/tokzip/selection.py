@@ -25,6 +25,8 @@ class SelectionConfig:
             raise ValueError(f"iqr_factor must be > 0, got {self.iqr_factor}")
         if self.min_retained < 1:
             raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,9 @@ def merge_indices(global_indices, local_indices, attn_low, cfg=SelectionConfig()
 
 
 def select_tokens(attn_deep, attn_low, density, cfg=SelectionConfig(), rng=None):
-    """Run both branches and merge; convenience wrapper used by the pipeline."""
-    scores = check_attention_vector(attn_low, "attn_low")
+    """Run both branches and merge; the pipeline's default selection step."""
     gi = global_select(attn_deep, cfg)
-    m = local_sample_count(density, scores.size)
+    m = local_sample_count(density, np.size(attn_low))
     li = local_select(attn_low, m, cfg, rng=rng)
     merged = merge_indices(gi, li, attn_low, cfg)
     return SelectionResult(global_indices=gi, local_indices=li, merged_indices=merged)

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see per-criterion output.
 """
 
+import dataclasses
 import hashlib
 import time
 from pathlib import Path
@@ -123,8 +124,9 @@ def test_criterion_5_adaptivity():
             res = compress_subimage(bundle, dcfg, SelectionConfig(seed=seed))
             ratios.append(res.ratio)
             for r in fixed:
-                sel = baseline_select("fixed", bundle, seed=seed, ratio=r,
-                                      density_cfg=dcfg)
+                sel = baseline_select("fixed", bundle.attn_deep, bundle.attn_low,
+                                      res.density_report.density, SelectionConfig(seed=seed),
+                                      ratio=r)
                 fixed[r].append(sel.merged_indices.size / n)
         adaptive[rho] = ratios
     means = [float(np.mean(adaptive[rho])) for rho in rhos]
@@ -163,7 +165,7 @@ def test_criterion_6_determinism(tmp_path):
         for rho in (0.25, 0.5)
     ]
     for i, b in enumerate(bundles):
-        b.image_id = f"s{i}"
+        bundles[i] = dataclasses.replace(b, image_id=f"s{i}")
     manifest = write_bundle(tmp_path / "bundle", bundles)
     args = ["compress", "--manifest", str(manifest), "--seed", "21"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -212,7 +214,8 @@ def test_criterion_9_out_of_scope_documented():
     text = readme.read_text()
     assert "desk scale" in text or "full model" in text
     bundle = generate(SyntheticSpec(n_tokens=16, dim=20, redundancy_fraction=0.5, seed=1))
-    sel = baseline_select("fixed", bundle, ratio=0.5)
+    sel = baseline_select("fixed", bundle.attn_deep, bundle.attn_low,
+                          compute_density(bundle.keys_low).density, ratio=0.5)
     assert sel.merged_indices is sel.local_indices or np.array_equal(
         sel.merged_indices, sel.local_indices
     )

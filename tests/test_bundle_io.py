@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
@@ -18,8 +20,7 @@ from tokzip.errors import DimensionMismatchError, NonFiniteValueError, ParseErro
 def _small_bundle(seed=0, n=4, profile="uniform"):
     b = generate(SyntheticSpec(n_tokens=n, dim=n + 2, redundancy_fraction=0.0,
                                attention_profile=profile, seed=seed))
-    b.grid_shape = (2, n // 2)
-    return b
+    return dataclasses.replace(b, grid_shape=(2, n // 2))
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -73,7 +74,7 @@ def test_zero_key_row_rejected(tmp_path):
 
 def test_attention_sum_warning(tmp_path):
     b = _small_bundle()
-    b.attn_low = b.attn_low * 3.0  # sums to 3, far from 1
+    b = dataclasses.replace(b, attn_low=b.attn_low * 3.0)  # sums to 3, far from 1
     manifest = write_bundle(tmp_path, [b])
     with pytest.warns(UserWarning, match="sums to"):
         load_bundle(manifest)

@@ -1,10 +1,23 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from tokzip import SyntheticSpec, generate, write_bundle
+import tokzip
+from tokzip import (
+    SelectionConfig,
+    SyntheticSpec,
+    baseline_select,
+    compute_density,
+    generate,
+    load_bundle,
+    load_results,
+    write_bundle,
+    write_tensor,
+)
+from tokzip.bundle_io import TENSOR_FIELDS
 from tokzip.cli import main
 
 
@@ -15,11 +28,10 @@ def manifest(tmp_path):
                                attention_profile="concentrated", seed=3))
         for rho in (0.0, 0.5)
     ]
-    bundles[0].image_id = "sub_a"
-    bundles[1].image_id = "sub_b"
+    bundles[0] = dataclasses.replace(bundles[0], image_id="sub_a")
+    bundles[1] = dataclasses.replace(bundles[1], image_id="sub_b")
     g = generate(SyntheticSpec(n_tokens=16, dim=20, redundancy_fraction=0.0, seed=4))
-    g.is_global = True
-    g.image_id = "global"
+    g = dataclasses.replace(g, is_global=True, image_id="global")
     return write_bundle(tmp_path / "bundle", bundles + [g])
 
 
@@ -118,7 +130,12 @@ def test_error_exit_code(tmp_path, capsys):
 
 
 
-# name -> (files written under tmp_path, command line); each exited with a traceback before.
+# A manifest entry for the fixture's sub_a tensors, seen from tmp_path.
+SUB_A = ", ".join(f"{name}: bundle/sub_a_{name}.tkzt" for name in TENSOR_FIELDS)
+ONE_META = '{"subimages": [{"meta": "m.json", "tokens": "t.tkzt"}]}'
+
+# name -> (files written under tmp_path, command line). Each exited with a traceback before,
+# except image_id_with_slash, which wrote its output outside --out.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -131,6 +148,29 @@ BAD_INPUTS = {
     "alpha_out_of_range": ({}, "density --manifest {manifest} --alpha 2"),
     "scale_zero": ({}, "masks --manifest {manifest} --results {t}/run/results.json --out {t}/o "
                        "--scale 0"),
+    "subimages_scalar": ({"m.yaml": "subimages: 5\n"}, "density --manifest {t}/m.yaml"),
+    "subimage_not_mapping": ({"m.yaml": "subimages: [1]\n"}, "density --manifest {t}/m.yaml"),
+    "grid_shape_scalar": ({"m.yaml": f"subimages: [{{{SUB_A}, grid_shape: 5}}]\n"},
+                          "density --manifest {t}/m.yaml"),
+    "grid_shape_strings": ({"m.yaml": f"subimages: [{{{SUB_A}, grid_shape: [a, b]}}]\n"},
+                           "density --manifest {t}/m.yaml"),
+    "grid_shape_three": ({"m.yaml": f"subimages: [{{{SUB_A}, grid_shape: [2, 2, 4]}}]\n"},
+                         "density --manifest {t}/m.yaml"),
+    "meta_json_list": ({"results.json": ONE_META, "m.json": "[]"},
+                       "stats --results {t}/results.json --out {t}/o"),
+    "meta_without_ratio": ({"results.json": ONE_META, "m.json": '{"image_id": "sub_a"}'},
+                           "stats --results {t}/results.json --out {t}/o"),
+    "masks_unknown_image_id": ({"results.json": ONE_META, "m.json": '{"image_id": "nope"}'},
+                               "masks --manifest {manifest} --results {t}/results.json --out {t}/o"),
+    "image_id_with_slash": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: ../x}}]\n"},
+                            "compress --manifest {t}/m.yaml --out {t}/o"),
+    "config_value_wrong_type": ({"c.yaml": "selection:\n  min_retained: 1.5\n"},
+                                "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "empty_aggregation_group": ({"c.yaml": "aggregation:\n  knn_k: 0\n  include_self: false\n"},
+                                "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "negative_seed": ({}, "baseline --manifest {manifest} --out {t}/o --method random --seed -1"),
+    "labels_count": ({}, "stats --results {t}/run/results.json {t}/run/results.json --labels a "
+                         "--out {t}/o"),
 }
 
 
@@ -146,3 +186,63 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if case == "unknown_config_key":
         assert "'alpah'" in err
+
+
+def test_warning_is_one_line(manifest, tmp_path, capsys):
+    attn = load_bundle(manifest)[0].attn_low * 3.0  # sums to 3, far from 1
+    write_tensor(tmp_path / "attn3.tkzt", attn)
+    entry = SUB_A.replace("bundle/sub_a_attn_low.tkzt", "attn3.tkzt")
+    (tmp_path / "m.yaml").write_text(f"subimages: [{{{entry}, grid_shape: [3, 5]}}]\n")
+    assert main(["density", "--manifest", str(tmp_path / "m.yaml")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("warning: ") and "attention sums to 3" in lines[0]
+    assert lines[1].startswith("error: DimensionMismatchError: ")
+
+
+@pytest.fixture
+def redundant_manifest(tmp_path):
+    """Two N=120 crops with a 60-token clone cluster (density 0.5 at the
+    default limit_k=50) and a global image."""
+    bundles = [
+        dataclasses.replace(
+            generate(SyntheticSpec(n_tokens=120, dim=64, redundancy_fraction=0.5,
+                                   attention_profile="concentrated", seed=s)),
+            image_id=f"crop{s}", is_global=s == 2)
+        for s in range(3)
+    ]
+    return write_bundle(tmp_path / "bundle", bundles)
+
+
+@pytest.mark.parametrize("method,ratio", [("random", None), ("uniform", None), ("fixed", 0.3)])
+def test_baseline_shares_the_compression_path(method, ratio, redundant_manifest, tmp_path,
+                                              monkeypatch):
+    calls = []
+    real = tokzip.density.compute_density
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (tokzip.cli, tokzip.harness, tokzip.pipeline):
+        monkeypatch.setattr(module, "compute_density", counting)
+    args = ["baseline", "--manifest", str(redundant_manifest), "--method", method,
+            "--seed", "5", "--out", str(tmp_path / "b")]
+    assert main(args + (["--ratio", str(ratio)] if ratio is not None else [])) == 0
+    assert len(calls) == 2  # once per crop
+    monkeypatch.undo()
+
+    bundles = load_bundle(redundant_manifest)
+    metas = load_results(tmp_path / "b" / "results.json")
+    for bundle, meta in zip(bundles[:2], metas[:2]):
+        report = compute_density(bundle.keys_low)
+        assert report.density == 0.5
+        sel = baseline_select(method, bundle.attn_deep, bundle.attn_low, report.density,
+                              SelectionConfig(seed=5), ratio=ratio)
+        assert meta["retained_indices"] == sel.merged_indices.tolist()
+        assert meta["branch_provenance"] == ["local"] * sel.merged_indices.size
+        assert meta["density"] == report.density
+        assert meta["redundancy"] == report.redundancy
+        assert meta["n_redundant"] == report.n_redundant
+        assert meta["redundant_mask"] == report.redundant_mask.tolist()
+    assert metas[2]["is_global_passthrough"]

@@ -3,6 +3,7 @@ import pytest
 
 from tokzip import (
     DensityConfig,
+    SelectionConfig,
     SyntheticSpec,
     baseline_select,
     compute_density,
@@ -62,33 +63,40 @@ class TestGenerate:
                 assert rep.n_redundant == round(rho * n)
 
 
+def _density(bundle, cfg=DensityConfig()):
+    return compute_density(bundle.keys_low, cfg).density
+
+
 class TestBaselines:
     def _bundle(self, seed=0):
         return generate(SyntheticSpec(n_tokens=24, dim=30, redundancy_fraction=0.5, seed=seed))
 
     def test_fixed_ratio_one_keeps_all(self):
         b = self._bundle()
-        sel = baseline_select("fixed", b, ratio=1.0)
+        sel = baseline_select("fixed", b.attn_deep, b.attn_low, _density(b), ratio=1.0)
         assert sel.merged_indices.tolist() == list(range(24))
 
     def test_uniform_full_m_keeps_all(self):
         b = generate(SyntheticSpec(n_tokens=12, dim=16, redundancy_fraction=0.0, seed=1))
-        sel = baseline_select("uniform", b, density_cfg=DensityConfig(alpha=0.7, limit_k=0))
+        sel = baseline_select("uniform", b.attn_deep, b.attn_low,
+                              _density(b, DensityConfig(alpha=0.7, limit_k=0)))
         assert sel.merged_indices.tolist() == list(range(12))
 
     def test_random_size_matches_adaptive_m(self):
         b = self._bundle()
         dcfg = DensityConfig(alpha=0.7, limit_k=3)
-        sel = baseline_select("random", b, seed=4, density_cfg=dcfg)
+        sel = baseline_select("random", b.attn_deep, b.attn_low, _density(b, dcfg),
+                              SelectionConfig(seed=4))
         d = compute_density(b.keys_low, dcfg).density
         assert sel.merged_indices.size == round(d * 24)
         assert len(set(sel.merged_indices.tolist())) == sel.merged_indices.size
 
     def test_fixed_half_within_one_token(self):
         b = self._bundle()
-        sel = baseline_select("fixed", b, ratio=0.5)
+        sel = baseline_select("fixed", b.attn_deep, b.attn_low, _density(b), ratio=0.5)
         assert abs(sel.merged_indices.size - 0.5 * 24) <= 1
 
     def test_unknown_method(self):
+        b = self._bundle()
         with pytest.raises(ValueError):
-            baseline_select("bogus", self._bundle())
+            baseline_select("bogus", b.attn_deep, b.attn_low, _density(b))

@@ -25,7 +25,9 @@ def test_write_pgm_scaling(tmp_path):
 
 def test_clone_bundle_masks(tmp_path, clone_bundle, clone_density_cfg):
     res = compress_subimage(clone_bundle, clone_density_cfg, SelectionConfig(seed=1))
-    red_path, sel_path = render_masks(clone_bundle, res, tmp_path / "m")
+    red_path, sel_path = render_masks(clone_bundle.grid_shape, res.retained_indices,
+                                      res.branch_provenance, res.density_report.redundant_mask,
+                                      res.is_global_passthrough, tmp_path / "m")
     red = _read_pgm(red_path).ravel()
     # bright exactly on the 12 cloned cells
     assert (red[:12] == 255).all() and (red[12:] == 0).all()
@@ -39,7 +41,9 @@ def test_full_retention_has_no_dropped(tmp_path, clone_bundle):
     res = compress_subimage(clone_bundle, DensityConfig(alpha=0.7, limit_k=15),
                             SelectionConfig(seed=0))
     assert res.ratio == 1.0
-    _, sel_path = render_masks(clone_bundle, res, tmp_path / "full")
+    _, sel_path = render_masks(clone_bundle.grid_shape, res.retained_indices,
+                               res.branch_provenance, res.density_report.redundant_mask,
+                               res.is_global_passthrough, tmp_path / "full")
     sel = _read_pgm(sel_path).ravel()
     assert not (sel == LEVEL_DROPPED).any()
     assert set(np.unique(sel)) <= {LEVEL_LOCAL, LEVEL_GLOBAL}
@@ -47,6 +51,7 @@ def test_full_retention_has_no_dropped(tmp_path, clone_bundle):
 
 def test_grid_mismatch(tmp_path, clone_bundle, clone_density_cfg):
     res = compress_subimage(clone_bundle, clone_density_cfg)
-    clone_bundle.grid_shape = (3, 5)
     with pytest.raises(GridMismatchError):
-        render_masks(clone_bundle, res, tmp_path / "bad")
+        render_masks((3, 5), res.retained_indices, res.branch_provenance,
+                     res.density_report.redundant_mask, res.is_global_passthrough,
+                     tmp_path / "bad")

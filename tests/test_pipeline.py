@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,7 @@ def test_all_orthogonal_keeps_everything():
 
 
 def test_global_image_rejected():
-    bundle = _uniform_bundle()
-    bundle.is_global = True
+    bundle = dataclasses.replace(_uniform_bundle(), is_global=True)
     with pytest.raises(GlobalImageRejectedError):
         compress_subimage(bundle)
 
@@ -100,8 +101,7 @@ class TestHandTrace:
 
 class TestCompressDocument:
     def test_single_global_passthrough(self):
-        g = _uniform_bundle()
-        g.is_global = True
+        g = dataclasses.replace(_uniform_bundle(), is_global=True)
         results = compress_document([g])
         assert len(results) == 1
         assert results[0].is_global_passthrough
@@ -121,8 +121,8 @@ class TestCompressDocument:
             assert np.array_equal(res.compressed_tokens, first.compressed_tokens)
 
     def test_multiple_globals_rejected(self):
-        a, b = _uniform_bundle(seed=1), _uniform_bundle(seed=2)
-        a.is_global = b.is_global = True
+        a = dataclasses.replace(_uniform_bundle(seed=1), is_global=True)
+        b = dataclasses.replace(_uniform_bundle(seed=2), is_global=True)
         with pytest.raises(MultipleGlobalImagesError):
             compress_document([a, b])
 
@@ -137,8 +137,7 @@ class TestCompressDocument:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_order_preserved_and_counts_bounded(self):
-        g = _uniform_bundle(seed=4)
-        g.is_global = True
+        g = dataclasses.replace(_uniform_bundle(seed=4), is_global=True)
         bundles = [
             generate(SyntheticSpec(n_tokens=16, dim=20, redundancy_fraction=0.5, seed=s))
             for s in (1, 2)
@@ -151,41 +150,27 @@ class TestCompressDocument:
 
 
 class TestCorpusStats:
-    def _fake(self, ratio):
-        from tokzip.pipeline import CompressionResult
-
-        return CompressionResult(
-            retained_indices=np.arange(1),
-            compressed_tokens=np.zeros((1, 1)),
-            density_report=None,
-            branch_provenance=["local"],
-            ratio=ratio,
-            n_original=10,
-        )
-
     def test_single_result(self):
-        stats = corpus_stats([self._fake(0.5)])
+        stats = corpus_stats([0.5])
         s = stats.per_label["all"]
         assert s["q1"] == s["median"] == s["q3"] == 0.5
         assert sum(s["histogram"]) == 1
         assert s["histogram"][10] == 1  # 0.5 lands in bin [0.50, 0.55)
 
     def test_quartiles(self):
-        stats = corpus_stats([self._fake(r) for r in (0.1, 0.2, 0.3, 0.4, 0.5)])
+        stats = corpus_stats([0.1, 0.2, 0.3, 0.4, 0.5])
         s = stats.per_label["all"]
         assert s["median"] == pytest.approx(0.3)
         assert s["q1"] == pytest.approx(0.2)
         assert s["q3"] == pytest.approx(0.4)
 
     def test_labels_partition(self):
-        results = [self._fake(r) for r in (0.1, 0.9, 0.2, 0.8)]
-        stats = corpus_stats(results, ["a", "b", "a", "b"])
+        stats = corpus_stats([0.1, 0.9, 0.2, 0.8], ["a", "b", "a", "b"])
         assert stats.per_label["a"]["mean"] == pytest.approx(0.15)
         assert stats.per_label["b"]["mean"] == pytest.approx(0.85)
 
     def test_histogram_sums_to_count(self):
-        results = [self._fake(r) for r in np.linspace(0.01, 1.0, 37)]
-        s = corpus_stats(results).per_label["all"]
+        s = corpus_stats(np.linspace(0.01, 1.0, 37)).per_label["all"]
         assert sum(s["histogram"]) == 37
 
     def test_empty_rejected(self):
