@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteValueError,
     ParseError,
+    TokzipError,
     ZeroRowError,
 )
 from .pipeline import SubImageBundle
@@ -88,8 +89,10 @@ def load_bundle(manifest_path):
                 warnings.warn(f"{path}: attention sums to {float(t.sum()):.6g}, not 1; "
                               "it will be renormalized where needed", stacklevel=2)
         image_id = str(entry.get("image_id", f"subimage_{i}"))
-        if "/" in image_id or "\0" in image_id:
+        if not image_id or "/" in image_id or "\0" in image_id:
             raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
+        if any(b.image_id == image_id for b in bundles):
+            raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
         bundles.append(SubImageBundle(
             **tensors,
             grid_shape=_int_pair(entry, "grid_shape", (1, len(tensors["y_last"])), 1, where),
@@ -101,13 +104,26 @@ def load_bundle(manifest_path):
     return bundles
 
 
+def file_stems(bundles):
+    """Per bundle, the stem of its output file names: image_id, or subimage_<i> if empty.
+
+    Raises TokzipError when two bundles would share a stem, since the second
+    would overwrite the first's files.
+    """
+    stems = [b.image_id or f"subimage_{i}" for i, b in enumerate(bundles)]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise TokzipError(f"two sub-images would both write files named {stem!r}")
+    return stems
+
+
 def write_bundle(out_dir, bundles, notes=None):
     """Write bundles as tensor files plus a manifest; returns the manifest path."""
+    stems = file_stems(bundles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, b in enumerate(bundles):
-        stem = b.image_id or f"subimage_{i}"
+    for stem, b in zip(stems, bundles):
         entry = {
             "grid_shape": list(b.grid_shape),
             "is_global": bool(b.is_global),
@@ -138,11 +154,11 @@ def write_results(out_dir, bundles, results, config_meta):
     Stable key ordering and no timestamps, so identical runs produce
     byte-identical output trees.
     """
+    stems = file_stems(bundles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
-    for i, (bundle, res) in enumerate(zip(bundles, results)):
-        stem = bundle.image_id or f"subimage_{i}"
+    for stem, bundle, res in zip(stems, bundles, results):
         tokens_file = f"{stem}_compressed.tkzt"
         write_tensor(out_dir / tokens_file, res.compressed_tokens)
         meta = {

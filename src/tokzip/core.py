@@ -56,12 +56,16 @@ def normalize_rows(keys):
 
     Raises ZeroRowError for any row whose norm falls below ZERO_NORM_EPS;
     a zero key vector has no direction and cosine similarity against it is
-    undefined.
+    undefined. A row whose norm is not finite (a NaN or inf entry, or an
+    overflow) raises DimensionMismatchError, as check_finite does.
     """
     k = as_matrix(keys)
     if k.shape[0] == 0:
         raise DimensionMismatchError("key matrix has no rows")
     norms = np.linalg.norm(k, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise DimensionMismatchError(f"key row {int(bad[0])} has a non-finite norm")
     small = np.flatnonzero(norms < ZERO_NORM_EPS)
     if small.size:
         raise ZeroRowError(int(small[0]))

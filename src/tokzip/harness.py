@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import BLOCK_ROWS
 from .density import DensityConfig, compute_density
@@ -320,6 +319,25 @@ def first_draw_frequency(weights, index, trials, seed=0):
     return hits / trials
 
 
+def chi2_sf(x, df):
+    """Chi-square survival function P(X > x) for a finite x and an integer df >= 1.
+
+    The regularized upper incomplete gamma Q(df/2, x/2) as its finite series:
+    exp(-y) * sum y^a / a! over a = 0 .. df/2 - 1 for even df, and
+    erfc(sqrt(y)) plus the same sum over a = 1/2 .. df/2 - 1 for odd df, with
+    y = x/2. Each term is taken in log space, so large df neither overflows
+    nor underflows before the sum.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2.0
+    a0 = (df % 2) / 2.0
+    head = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    log_y = math.log(y)
+    return head + math.fsum(math.exp((a0 + j) * log_y - y - math.lgamma(a0 + j + 1))
+                            for j in range(df // 2))
+
+
 def uniform_subset_chisquare(n, m, trials, seed=0):
     """Chi-square p-value for equal likelihood of all size-m subsets under uniform attention."""
     cfg = SelectionConfig(seed=seed)
@@ -335,7 +353,7 @@ def uniform_subset_chisquare(n, m, trials, seed=0):
         observed[i] = c
     expected = trials / n_subsets
     chi2 = float(((observed - expected) ** 2 / expected).sum())
-    pvalue = float(stats.chi2.sf(chi2, df=n_subsets - 1))
+    pvalue = chi2_sf(chi2, n_subsets - 1)
     return chi2, pvalue
 
 

@@ -21,8 +21,8 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iqr_factor <= 0:
-            raise ValueError(f"iqr_factor must be > 0, got {self.iqr_factor}")
+        if not (math.isfinite(self.iqr_factor) and self.iqr_factor > 0):
+            raise ValueError(f"iqr_factor must be finite and > 0, got {self.iqr_factor}")
         if self.min_retained < 1:
             raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
         if self.seed < 0:
@@ -120,10 +120,10 @@ def merge_indices(global_indices, local_indices, attn_low, cfg=SelectionConfig()
     return merged
 
 
-def select_tokens(attn_deep, attn_low, density, cfg=SelectionConfig(), rng=None):
+def select_tokens(attn_deep, attn_low, density, cfg=SelectionConfig()):
     """Run both branches and merge; the pipeline's default selection step."""
     gi = global_select(attn_deep, cfg)
     m = local_sample_count(density, np.size(attn_low))
-    li = local_select(attn_low, m, cfg, rng=rng)
+    li = local_select(attn_low, m, cfg)
     merged = merge_indices(gi, li, attn_low, cfg)
     return SelectionResult(global_indices=gi, local_indices=li, merged_indices=merged)

@@ -14,7 +14,13 @@ from tokzip import (
     write_results,
     write_tensor,
 )
-from tokzip.errors import DimensionMismatchError, NonFiniteValueError, ParseError, ZeroRowError
+from tokzip.errors import (
+    DimensionMismatchError,
+    NonFiniteValueError,
+    ParseError,
+    TokzipError,
+    ZeroRowError,
+)
 
 
 def _small_bundle(seed=0, n=4, profile="uniform"):
@@ -103,3 +109,19 @@ def test_results_round_trip(tmp_path):
 
         tokens = read_tensor(meta["tokens_path"])
         assert tokens.shape == res.compressed_tokens.shape
+
+
+def test_repeated_file_stem_refused(tmp_path):
+    bundles = [dataclasses.replace(_small_bundle(seed=s, n=8), image_id="same") for s in (1, 2)]
+    results = compress_document(bundles)
+    with pytest.raises(TokzipError, match="'same'"):
+        write_results(tmp_path / "out", bundles, results, {"seed": 0})
+    with pytest.raises(TokzipError, match="'same'"):
+        write_bundle(tmp_path / "in", bundles)
+    # an empty image_id takes the stem subimage_<i>, which an explicit id can collide with
+    unnamed = [dataclasses.replace(bundles[0], image_id="subimage_1"),
+               dataclasses.replace(bundles[1], image_id="")]
+    with pytest.raises(TokzipError, match="'subimage_1'"):
+        write_results(tmp_path / "out", unnamed, results, {"seed": 0})
+    assert not (tmp_path / "out").exists() and not (tmp_path / "in").exists()
+

@@ -135,7 +135,9 @@ SUB_A = ", ".join(f"{name}: bundle/sub_a_{name}.tkzt" for name in TENSOR_FIELDS)
 ONE_META = '{"subimages": [{"meta": "m.json", "tokens": "t.tkzt"}]}'
 
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
-# except image_id_with_slash, which wrote its output outside --out.
+# except image_id_with_slash, which wrote its output outside --out, and the last four, which
+# exited 0: two sub-images with one id shared one set of output files, an empty id was
+# replaced by the entry's position, and a non-finite iqr_factor switched the global branch off.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -171,6 +173,15 @@ BAD_INPUTS = {
     "negative_seed": ({}, "baseline --manifest {manifest} --out {t}/o --method random --seed -1"),
     "labels_count": ({}, "stats --results {t}/run/results.json {t}/run/results.json --labels a "
                          "--out {t}/o"),
+    "duplicate_image_id": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: same}}, "
+                                      f"{{{SUB_A}, image_id: same}}]\n"},
+                           "density --manifest {t}/m.yaml"),
+    "empty_image_id": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: ''}}]\n"},
+                       "density --manifest {t}/m.yaml"),
+    "iqr_factor_nan": ({"c.yaml": "selection:\n  iqr_factor: .nan\n"},
+                       "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "iqr_factor_inf": ({"c.yaml": "selection:\n  iqr_factor: .inf\n"},
+                       "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
 }
 
 

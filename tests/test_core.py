@@ -33,6 +33,13 @@ class TestNormalizeRows:
         once = normalize_rows(k)
         np.testing.assert_allclose(normalize_rows(once), once, atol=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_norm_rejected(self, rng, bad):
+        k = rng.standard_normal((5, 4))
+        k[3, 1] = bad  # 1e200 squared overflows, so its norm is inf
+        with np.errstate(over="ignore"), pytest.raises(DimensionMismatchError, match="key row 3"):
+            normalize_rows(k)
+
 
 class TestSimilarityMatrix:
     def test_orthogonal_pair(self):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from tokzip import (
     global_select,
 )
 from tokzip.errors import InfeasibleSpecError
+from tokzip.harness import chi2_sf, uniform_subset_chisquare
 
 
 class TestGenerate:
@@ -100,3 +106,32 @@ class TestBaselines:
         b = self._bundle()
         with pytest.raises(ValueError):
             baseline_select("bogus", b.attn_deep, b.attn_low, _density(b))
+
+
+class TestChi2Sf:
+    @pytest.mark.parametrize("df", [*range(1, 61), 99, 499, 2000])
+    def test_matches_scipy(self, df):
+        from scipy import stats
+
+        assert chi2_sf(0, df) == 1.0
+        for x in np.linspace(0.0, 3 * df + 60, 241):
+            want = float(stats.chi2.sf(x, df))
+            if want > 1e-12:
+                assert abs(chi2_sf(x, df) - want) <= 1e-9 * want, (x, df)
+
+    def test_negative_x(self):
+        assert chi2_sf(-1.0, 3) == 1.0
+
+    def test_selftest_subset_values(self):
+        chi2, p = uniform_subset_chisquare(5, 2, 50_000, seed=404)
+        assert chi2 == pytest.approx(3.0244, abs=1e-12)
+        assert abs(p - 0.9633197280872532) <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, tokzip, tokzip.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -37,6 +37,12 @@ class TestGlobalSelect:
             global_select([])
 
 
+@pytest.mark.parametrize("iqr_factor", [0.0, -1.0, float("nan"), float("inf")])
+def test_iqr_factor_must_be_finite_and_positive(iqr_factor):
+    with pytest.raises(ValueError, match="iqr_factor"):
+        SelectionConfig(iqr_factor=iqr_factor)
+
+
 class TestLocalSampleCount:
     @pytest.mark.parametrize(
         "d,n,expected",
