@@ -49,7 +49,7 @@ for b, r in zip(bundles, results):
         )
 
 stats = corpus_stats([r.ratio for r in results if not r.is_global_passthrough])
-s = stats.per_label["all"]
+s = stats["datasets"]["all"]
 print(
     f"\ncorpus: mean ratio {s['mean']:.3f}, "
     f"box [{s['min']:.3f}, {s['q1']:.3f}, {s['median']:.3f}, {s['q3']:.3f}, {s['max']:.3f}]"

@@ -5,7 +5,6 @@ from .core import normalize_rows, quantile, similarity_matrix
 from .density import DensityConfig, DensityReport, compute_density
 from .pipeline import (
     CompressionResult,
-    CorpusStats,
     SubImageBundle,
     compress_document,
     compress_subimage,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationConfig",
     "CompressionResult",
-    "CorpusStats",
     "DensityConfig",
     "DensityReport",
     "SelectionConfig",

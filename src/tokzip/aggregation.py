@@ -17,7 +17,7 @@ from .core import (
     normalize_rows,
     similarity_matrix,
 )
-from .errors import EmptyRetentionError, NeighborCountExceedsTokensError
+from .errors import DimensionMismatchError, EmptyRetentionError, NeighborCountExceedsTokensError
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,15 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
         raise EmptyRetentionError("retained index set is empty")
     if retained[0] < 0 or retained[-1] >= n:
         raise IndexError(f"retained indices out of range [0, {n})")
+    kn = normalize_rows(keys_deep)
+    if kn.shape[0] != n or weights_full.size != n:
+        raise DimensionMismatchError(f"tokens, keys_deep and attn_deep have {n}, "
+                                     f"{kn.shape[0]} and {weights_full.size} rows")
     if cfg.knn_k > n - 1:
         raise NeighborCountExceedsTokensError(
             f"knn_k={cfg.knn_k} but only {n - 1} candidate neighbors exist"
         )
 
-    kn = normalize_rows(keys_deep)
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
     for lo in range(0, retained.size, BLOCK_ROWS):
         rows = retained[lo : lo + BLOCK_ROWS]

@@ -108,8 +108,8 @@ def _cmd_stats(args):
     stats = corpus_stats(ratios, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _json_dump(out / "stats.json", stats.to_dict())
-    for label, s in stats.per_label.items():
+    _json_dump(out / "stats.json", stats)
+    for label, s in stats["datasets"].items():
         hist_lines = ["bin_low,bin_high,count"]
         for i, count in enumerate(s["histogram"]):
             hist_lines.append(f"{i * HIST_BIN_WIDTH:.2f},{(i + 1) * HIST_BIN_WIDTH:.2f},{count}")

@@ -62,7 +62,8 @@ def normalize_rows(keys):
     k = as_matrix(keys)
     if k.shape[0] == 0:
         raise DimensionMismatchError("key matrix has no rows")
-    norms = np.linalg.norm(k, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
+        norms = np.linalg.norm(k, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise DimensionMismatchError(f"key row {int(bad[0])} has a non-finite norm")

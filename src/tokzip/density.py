@@ -36,15 +36,21 @@ class DensityConfig:
 
 @dataclass(frozen=True)
 class DensityReport:
-    n_redundant: int
-    redundancy: float
-    density: float
+    """One sub-image's redundancy decision; the summary numbers derive from it."""
+
     redundant_mask: np.ndarray  # bool, length N
 
-    def __post_init__(self):
-        assert self.n_redundant == int(np.sum(self.redundant_mask))
-        assert 0.0 <= self.redundancy <= 1.0
-        assert 0.0 <= self.density <= 1.0
+    @property
+    def n_redundant(self):
+        return int(self.redundant_mask.sum())
+
+    @property
+    def redundancy(self):
+        return self.n_redundant / self.redundant_mask.size
+
+    @property
+    def density(self):
+        return 1.0 - self.redundancy
 
 
 def compute_density(keys, cfg=DensityConfig()):
@@ -68,12 +74,4 @@ def compute_density(keys, cfg=DensityConfig()):
             similar[diag, diag] = False
         peer_counts[lo:hi] += np.count_nonzero(similar, axis=1)
         peer_counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
-    redundant = peer_counts > cfg.limit_k
-    n_red = int(redundant.sum())
-    r = n_red / n
-    return DensityReport(
-        n_redundant=n_red,
-        redundancy=r,
-        density=1.0 - r,
-        redundant_mask=redundant,
-    )
+    return DensityReport(redundant_mask=peer_counts > cfg.limit_k)

@@ -147,7 +147,7 @@ def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(),
     elif method == "fixed":
         if ratio is None or not 0.0 <= ratio <= 1.0:
             raise ValueError("fixed baseline needs ratio in [0, 1]")
-        m = min(max(math.floor(ratio * n + 0.5), 0), n)
+        m = local_sample_count(ratio, n)
         chosen = local_select(attn_low, m, cfg)
     else:
         raise ValueError(f"unknown baseline method {method!r}")

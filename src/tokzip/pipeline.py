@@ -6,7 +6,7 @@ sampling on the low-layer attention, index merge, then neighbor aggregation.
 The resized global image is never compressed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
 HIST_BINS = 20
+
+# Which branch kept a retained token, indexed by in_global + 2 * in_local.
+BRANCH_TAGS = ("fallback", "global", "local", "both")
 
 
 @dataclass(frozen=True)
@@ -78,41 +81,23 @@ class SubImageBundle:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressionResult:
     """Retained indices, merged tokens, and provenance for one sub-image."""
 
     retained_indices: np.ndarray
     compressed_tokens: np.ndarray
     density_report: DensityReport | None
-    branch_provenance: list  # per retained index: global | local | both | fallback
-    ratio: float
+    branch_provenance: list  # per retained index, one of BRANCH_TAGS
     n_original: int
     is_global_passthrough: bool = False
-    selection: object = field(default=None, repr=False)
+
+    @property
+    def ratio(self):
+        return self.retained_indices.size / self.n_original
 
     def provenance_counts(self):
-        counts = {"global": 0, "local": 0, "both": 0, "fallback": 0}
-        for tag in self.branch_provenance:
-            counts[tag] = counts.get(tag, 0) + 1
-        return counts
-
-
-def _provenance(merged, global_indices, local_indices):
-    gset = set(np.asarray(global_indices).tolist())
-    lset = set(np.asarray(local_indices).tolist())
-    tags = []
-    for idx in np.asarray(merged).tolist():
-        in_g, in_l = idx in gset, idx in lset
-        if in_g and in_l:
-            tags.append("both")
-        elif in_g:
-            tags.append("global")
-        elif in_l:
-            tags.append("local")
-        else:
-            tags.append("fallback")
-    return tags
+        return {tag: self.branch_provenance.count(tag) for tag in BRANCH_TAGS}
 
 
 def compress_subimage(
@@ -134,18 +119,15 @@ def compress_subimage(
         bundle.attn_deep, bundle.attn_low, report.density, selection_cfg
     )
     merged = sel.merged_indices
-    compressed = aggregate(
-        bundle.y_last, bundle.keys_deep, bundle.attn_deep, merged, agg_cfg
-    )
-    n = bundle.n_tokens
+    branch = np.isin(merged, sel.global_indices) + 2 * np.isin(merged, sel.local_indices)
     return CompressionResult(
         retained_indices=merged,
-        compressed_tokens=compressed,
+        compressed_tokens=aggregate(
+            bundle.y_last, bundle.keys_deep, bundle.attn_deep, merged, agg_cfg
+        ),
         density_report=report,
-        branch_provenance=_provenance(merged, sel.global_indices, sel.local_indices),
-        ratio=merged.size / n,
-        n_original=n,
-        selection=sel,
+        branch_provenance=np.asarray(BRANCH_TAGS)[branch].tolist(),
+        n_original=bundle.n_tokens,
     )
 
 
@@ -165,44 +147,25 @@ def compress_document(
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:
         raise MultipleGlobalImagesError(f"{n_global} bundles are marked is_global")
-    results = []
-    for bundle in bundles:
-        if bundle.is_global:
-            n = bundle.n_tokens
-            results.append(
-                CompressionResult(
-                    retained_indices=np.arange(n, dtype=np.intp),
-                    compressed_tokens=as_matrix(bundle.y_last).copy(),
-                    density_report=None,
-                    branch_provenance=[],
-                    ratio=1.0,
-                    n_original=n,
-                    is_global_passthrough=True,
-                )
-            )
-        else:
-            results.append(
-                compress_subimage(bundle, density_cfg, selection_cfg, agg_cfg, select)
-            )
-    return results
-
-
-@dataclass
-class CorpusStats:
-    """Per-dataset compression-ratio summaries (boxplot + histogram data)."""
-
-    per_label: dict  # label -> stats dict
-
-    def to_dict(self):
-        return {"bin_width": HIST_BIN_WIDTH, "datasets": self.per_label}
+    return [
+        CompressionResult(
+            retained_indices=np.arange(b.n_tokens, dtype=np.intp),
+            compressed_tokens=as_matrix(b.y_last).copy(),
+            density_report=None,
+            branch_provenance=[],
+            n_original=b.n_tokens,
+            is_global_passthrough=True,
+        )
+        if b.is_global
+        else compress_subimage(b, density_cfg, selection_cfg, agg_cfg, select)
+        for b in bundles
+    ]
 
 
 def _label_stats(ratios):
     r = np.asarray(ratios, dtype=np.float64)
-    hist = np.zeros(HIST_BINS, dtype=int)
-    for x in r:
-        b = min(int(x / HIST_BIN_WIDTH), HIST_BINS - 1)
-        hist[b] += 1
+    bins = np.minimum(r / HIST_BIN_WIDTH, HIST_BINS - 1).astype(int)
+    hist = np.bincount(bins, minlength=HIST_BINS)
     return {
         "count": int(r.size),
         "min": float(r.min()),
@@ -220,9 +183,14 @@ def corpus_stats(ratios, dataset_labels=None):
     """Quartiles, mean and fixed-width histogram of ratios, per dataset label.
 
     `ratios`, each in [0, 1], are of sub-images only: leave out the global image.
+    Returns {"bin_width": HIST_BIN_WIDTH, "datasets": {label: stats}}.
     """
     if not len(ratios):
         raise EmptyCorpusError("no sub-image results to summarize")
+    r = np.asarray(ratios, dtype=np.float64)
+    bad = np.flatnonzero(~((r >= 0) & (r <= 1)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"ratio at position {bad[0]} must be in [0, 1], got {r[bad[0]]}")
     if dataset_labels is None:
         dataset_labels = ["all"] * len(ratios)
     elif len(dataset_labels) != len(ratios):
@@ -232,6 +200,7 @@ def corpus_stats(ratios, dataset_labels=None):
     by_label = {}
     for ratio, label in zip(ratios, dataset_labels):
         by_label.setdefault(label, []).append(ratio)
-    return CorpusStats(
-        per_label={label: _label_stats(v) for label, v in sorted(by_label.items())}
-    )
+    return {
+        "bin_width": HIST_BIN_WIDTH,
+        "datasets": {label: _label_stats(v) for label, v in sorted(by_label.items())},
+    }

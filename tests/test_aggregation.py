@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 from tokzip import AggregationConfig, aggregate, normalize_rows, similarity_matrix
 from tokzip.aggregation import neighbor_groups
 from tokzip.core import BLOCK_ROWS
-from tokzip.errors import EmptyRetentionError, NeighborCountExceedsTokensError
+from tokzip.errors import (
+    DimensionMismatchError,
+    EmptyRetentionError,
+    NeighborCountExceedsTokensError,
+)
 from tokzip.harness import oracle_aggregate
 
 
@@ -57,6 +61,14 @@ def test_too_many_neighbors_rejected(rng):
     with pytest.raises(NeighborCountExceedsTokensError):
         aggregate(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
                   np.ones(4), [0], AggregationConfig(knn_k=4))
+
+
+@pytest.mark.parametrize("n_tokens,n_keys,n_attn", [(12, 10, 12), (10, 12, 12), (12, 12, 10),
+                                                    (10, 12, 10)])
+def test_row_counts_must_agree(rng, n_tokens, n_keys, n_attn):
+    with pytest.raises(DimensionMismatchError, match="rows"):
+        aggregate(rng.standard_normal((n_tokens, 4)), rng.standard_normal((n_keys, 4)),
+                  rng.uniform(0.1, 1, n_attn), np.arange(10))
 
 
 def test_convex_hull_bound(rng):

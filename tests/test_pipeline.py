@@ -7,6 +7,7 @@ from tokzip import (
     AggregationConfig,
     DensityConfig,
     SelectionConfig,
+    SelectionResult,
     SyntheticSpec,
     compress_document,
     compress_subimage,
@@ -39,6 +40,15 @@ def test_global_image_rejected():
     bundle = dataclasses.replace(_uniform_bundle(), is_global=True)
     with pytest.raises(GlobalImageRejectedError):
         compress_subimage(bundle)
+
+
+def test_branch_tags_and_counts():
+    sel = SelectionResult(global_indices=np.array([1, 4]), local_indices=np.array([4, 7]),
+                          merged_indices=np.array([0, 1, 4, 7]))
+    res = compress_subimage(_uniform_bundle(), select=lambda *_: sel)
+    assert res.branch_provenance == ["fallback", "global", "both", "local"]
+    assert res.provenance_counts() == {"fallback": 1, "global": 1, "local": 1, "both": 1}
+    assert res.ratio == 4 / 9
 
 
 class TestHandTrace:
@@ -84,8 +94,9 @@ class TestHandTrace:
             clone_bundle, clone_density_cfg.alpha, clone_density_cfg.limit_k, 3
         )
         assert res.density_report.density == d == 0.25
-        assert res.selection.global_indices.tolist() == gi
-        assert res.selection.local_indices.tolist() == drawn
+        kept_by = dict(zip(res.retained_indices.tolist(), res.branch_provenance))
+        assert [i for i, t in kept_by.items() if t in ("global", "both")] == gi
+        assert [i for i, t in kept_by.items() if t in ("local", "both")] == drawn
         assert res.retained_indices.tolist() == merged
         np.testing.assert_allclose(res.compressed_tokens, y_prime, atol=1e-9)
         assert res.ratio == len(merged) / 16
@@ -152,27 +163,39 @@ class TestCompressDocument:
 class TestCorpusStats:
     def test_single_result(self):
         stats = corpus_stats([0.5])
-        s = stats.per_label["all"]
+        s = stats["datasets"]["all"]
         assert s["q1"] == s["median"] == s["q3"] == 0.5
         assert sum(s["histogram"]) == 1
         assert s["histogram"][10] == 1  # 0.5 lands in bin [0.50, 0.55)
 
     def test_quartiles(self):
         stats = corpus_stats([0.1, 0.2, 0.3, 0.4, 0.5])
-        s = stats.per_label["all"]
+        s = stats["datasets"]["all"]
         assert s["median"] == pytest.approx(0.3)
         assert s["q1"] == pytest.approx(0.2)
         assert s["q3"] == pytest.approx(0.4)
 
     def test_labels_partition(self):
         stats = corpus_stats([0.1, 0.9, 0.2, 0.8], ["a", "b", "a", "b"])
-        assert stats.per_label["a"]["mean"] == pytest.approx(0.15)
-        assert stats.per_label["b"]["mean"] == pytest.approx(0.85)
+        assert stats["datasets"]["a"]["mean"] == pytest.approx(0.15)
+        assert stats["datasets"]["b"]["mean"] == pytest.approx(0.85)
 
     def test_histogram_sums_to_count(self):
-        s = corpus_stats(np.linspace(0.01, 1.0, 37)).per_label["all"]
+        s = corpus_stats(np.linspace(0.01, 1.0, 37))["datasets"]["all"]
         assert sum(s["histogram"]) == 37
+
+    def test_histogram_matches_per_value_binning(self):
+        ratios = np.linspace(0.0, 1.0, 201)  # every bin edge, and 1.0 in the last bin
+        want = [0] * 20
+        for x in ratios:
+            want[min(int(x / 0.05), 19)] += 1
+        assert corpus_stats(ratios)["datasets"]["all"]["histogram"] == want
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCorpusError):
             corpus_stats([])
+
+    @pytest.mark.parametrize("bad", [-0.3, 1.7, np.nan])
+    def test_ratio_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="position 1"):
+            corpus_stats([0.5, bad])
