@@ -1,4 +1,4 @@
-"""Bundle manifests, tensor loading/validation, and result serialization.
+"""Bundle manifests, tensor loading, and result serialization.
 
 A bundle manifest is a YAML document listing, per sub-image, the five tensor
 file paths plus grid shape and source metadata. Tensor paths are resolved
@@ -12,28 +12,13 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import ZERO_NORM_EPS
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteValueError,
-    ParseError,
-    TokzipError,
-    ZeroRowError,
-)
+from .errors import ParseError, TokzipError
 from .pipeline import SubImageBundle
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
 
 TENSOR_FIELDS = ("y_last", "keys_low", "attn_low", "keys_deep", "attn_deep")
-
-
-def _load_checked(path):
-    arr = read_tensor(path)
-    finite = np.isfinite(arr)
-    if not finite.all():
-        raise NonFiniteValueError(str(path), int(np.flatnonzero(~finite.ravel())[0]))
-    return arr.astype(np.float64)
 
 
 def read_yaml(path, what):
@@ -49,58 +34,71 @@ def read_yaml(path, what):
         raise ParseError(f"invalid YAML{where}: {problem}", str(path)) from e
 
 
+def is_file_name(name):
+    """Whether name can stand in an output file name: non-empty, no '/' and no NUL."""
+    return bool(name) and "/" not in name and "\0" not in name
+
+
 def _int_pair(entry, key, default, low, where):
-    """entry[key] as a tuple of two ints >= low; ParseError naming the key otherwise."""
-    value = entry.get(key, default)
+    """entry[key] as a tuple of two ints >= low, default if absent; ParseError otherwise."""
+    if key not in entry:
+        return default
+    value = entry[key]
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(type(v) is int and v >= low for v in value)):
         raise ParseError(f"{key} must be two integers >= {low}, got {value!r}", where)
     return tuple(value)
 
 
-def load_bundle(manifest_path):
-    """Load and fully validate every sub-image bundle a manifest references."""
+def read_manifest(manifest_path):
+    """Check all of a manifest that needs no tensor, and read none.
+
+    Returns per sub-image a dict of SubImageBundle's fields: each tensor field
+    holds its resolved path, and an absent grid_shape is None.
+    """
     manifest_path = Path(manifest_path)
     where = str(manifest_path)
     doc = read_yaml(manifest_path, "manifest")
     if not isinstance(doc, dict) or not isinstance(doc.get("subimages"), list):
         raise ParseError("manifest must be a mapping with a 'subimages' list", where)
-    base = manifest_path.parent
-    bundles = []
+    entries = []
     for i, entry in enumerate(doc["subimages"]):
         if not isinstance(entry, dict):
             raise ParseError(f"subimage {i} must be a mapping", where)
-        tensors = {}
-        for name in TENSOR_FIELDS:  # y_last comes first and sets N
-            path = entry.get(name)
+        paths = {name: entry.get(name) for name in TENSOR_FIELDS}
+        for name, path in paths.items():
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"subimage {i} needs a file path '{name}'", where)
-            t = tensors[name] = _load_checked(base / path)
-            y_shape = tensors["y_last"].shape
-            if t.ndim != (1 if name.startswith("attn") else 2) or t.shape[:1] != y_shape[:1]:
-                raise DimensionMismatchError(
-                    f"{path} has shape {t.shape}; y_last {entry['y_last']} has shape {y_shape}"
-                )
-            if name.startswith("keys"):
-                small = np.flatnonzero(np.linalg.norm(t, axis=1) < ZERO_NORM_EPS)
-                if small.size:
-                    raise ZeroRowError(int(small[0]), str(base / path))
-            elif name.startswith("attn") and abs(float(t.sum()) - 1.0) > ATTENTION_SUM_WARN_TOL:
-                warnings.warn(f"{path}: attention sums to {float(t.sum()):.6g}, not 1; "
-                              "it will be renormalized where needed", stacklevel=2)
         image_id = str(entry.get("image_id", f"subimage_{i}"))
-        if not image_id or "/" in image_id or "\0" in image_id:
+        if not is_file_name(image_id):
             raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
-        if any(b.image_id == image_id for b in bundles):
+        if any(e["image_id"] == image_id for e in entries):
             raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
-        bundles.append(SubImageBundle(
-            **tensors,
-            grid_shape=_int_pair(entry, "grid_shape", (1, len(tensors["y_last"])), 1, where),
-            is_global=bool(entry.get("is_global", False)),
-            dataset=str(entry.get("dataset", "default")),
-            image_id=image_id,
-            crop_position=_int_pair(entry, "crop_position", (0, 0), 0, where),
-        ))
+        entries.append({
+            **{name: manifest_path.parent / path for name, path in paths.items()},
+            "grid_shape": _int_pair(entry, "grid_shape", None, 1, where),
+            "is_global": bool(entry.get("is_global", False)),
+            "dataset": str(entry.get("dataset", "default")),
+            "image_id": image_id,
+            "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, where),
+        })
+    return entries
+
+
+def load_bundle(manifest_path):
+    """read_manifest, then each entry's tensors as float64, checked by SubImageBundle."""
+    bundles = []
+    for entry in read_manifest(manifest_path):
+        for name in TENSOR_FIELDS:
+            entry[name] = read_tensor(entry[name]).astype(np.float64)
+        for name in ("attn_low", "attn_deep"):
+            total = float(entry[name].sum())
+            if ATTENTION_SUM_WARN_TOL < abs(total - 1.0) < np.inf:  # NaN and inf are errors
+                warnings.warn(f"{entry['image_id']}: {name}: attention sums to {total:.6g}, "
+                              "not 1; it will be renormalized where needed", stacklevel=2)
+        y = entry["y_last"]
+        entry["grid_shape"] = entry["grid_shape"] or (1, len(y) if y.ndim else 0)
+        bundles.append(SubImageBundle(**entry))
     return bundles
 
 

@@ -8,7 +8,9 @@ import warnings
 from pathlib import Path
 
 from .aggregation import AggregationConfig
-from .bundle_io import _json_dump, load_bundle, load_results, read_yaml, write_results
+from .bundle_io import (
+    _json_dump, is_file_name, load_bundle, load_results, read_manifest, read_yaml, write_results,
+)
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError
 from .harness import baseline_select, oracle_suite
@@ -93,6 +95,8 @@ def _cmd_density(args):
 def _cmd_stats(args):
     if args.labels and len(args.labels) != len(args.results):
         raise UsageError(f"{len(args.labels)} --labels for {len(args.results)} --results")
+    if not all(is_file_name(label) for label in args.labels or ()):
+        raise UsageError(f"--labels must be file names, got {args.labels}")
     ratios, labels = [], []
     for i, results_path in enumerate(args.results):
         label = args.labels[i] if args.labels else Path(results_path).parent.name
@@ -135,26 +139,30 @@ def _meta_list(meta, key, valid, where):
 def _cmd_masks(args):
     if args.scale < 1:
         raise UsageError(f"--scale must be >= 1, got {args.scale}")
-    bundles = {b.image_id: b for b in load_bundle(args.manifest)}
-    out = Path(args.out)
+    known = {entry["image_id"] for entry in read_manifest(args.manifest)}
+    out, where = Path(args.out), args.results
     out.mkdir(parents=True, exist_ok=True)
-    for meta in load_results(args.results):
+    for meta in load_results(where):
         image_id = meta.get("image_id")
-        if not isinstance(image_id, str) or image_id not in bundles:
-            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", args.results)
-        n = bundles[image_id].n_tokens
-        retained = _meta_list(meta, "retained_indices", lambda i: type(i) is int and 0 <= i < n,
-                              args.results)
-        tags = _meta_list(meta, "branch_provenance",
-                          lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, args.results)
-        mask = (_meta_list(meta, "redundant_mask", lambda r: type(r) is bool, args.results)
-                if "redundant_mask" in meta else None)
+        if not isinstance(image_id, str) or image_id not in known:
+            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", where)
+        # N is the length of the mask, or of the passed-through global image's retained indices
         passthrough = bool(meta.get("is_global_passthrough"))
+        mask = (None if passthrough else
+                _meta_list(meta, "redundant_mask", lambda r: type(r) is bool, where))
+        n = len(mask if mask is not None else
+                _meta_list(meta, "retained_indices", lambda i: type(i) is int, where))
+        retained = _meta_list(meta, "retained_indices",
+                              lambda i: type(i) is int and 0 <= i < n, where)
+        tags = _meta_list(meta, "branch_provenance",
+                          lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, where)
+        grid = _meta_list(meta, "grid_shape", lambda v: type(v) is int and v >= 1, where)
+        if len(grid) != 2 or grid[0] * grid[1] != n:
+            raise ParseError(f"{image_id!r}: grid_shape {grid} does not tile {n} tokens", where)
         if not passthrough and len(tags) != len(retained):
-            raise ParseError(f"{image_id!r}: {len(retained)} retained indices but {len(tags)} tags",
-                             args.results)
-        red, sel = render_masks(bundles[image_id].grid_shape, retained, tags, mask, passthrough,
-                                out / image_id, scale=args.scale)
+            raise ParseError(f"{image_id!r}: {len(retained)} indices but {len(tags)} tags", where)
+        red, sel = render_masks(grid, retained, tags, mask, passthrough, out / image_id,
+                                scale=args.scale)
         print(f"{image_id}: wrote {red.name}, {sel.name}")
     return 0
 

@@ -6,7 +6,7 @@ the N x N similarity products are where float32 accumulation error would bite.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, ZeroRowError
+from .errors import DimensionMismatchError, EmptyInputError, NonFiniteValueError, ZeroRowError
 
 # Row norms below this are treated as zero.
 ZERO_NORM_EPS = 1e-12
@@ -16,30 +16,30 @@ ZERO_NORM_EPS = 1e-12
 BLOCK_ROWS = 256
 
 
-def as_matrix(a):
+def as_matrix(a, name="matrix"):
     """Coerce to a 2-D float64 array without copying when already compliant."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
 
 
-def as_vector(a):
+def as_vector(a, name="vector"):
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got ndim={arr.ndim}")
+        raise DimensionMismatchError(f"{name} must be 1-D, got ndim={arr.ndim}")
     return arr
 
 
 def check_finite(arr, name="array"):
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(np.ravel(arr)))[0])
-        raise DimensionMismatchError(f"{name} contains a non-finite value at flat index {bad}")
+        raise NonFiniteValueError(f"{name} contains a non-finite value at flat index {bad}")
 
 
 def check_attention_vector(scores, name="attention"):
     """Validate a CLS->patch attention vector: finite, nonnegative, not all zero."""
-    v = as_vector(scores)
+    v = as_vector(scores, name)
     if v.size == 0:
         raise EmptyInputError(f"{name} is empty")
     check_finite(v, name)
@@ -51,26 +51,30 @@ def check_attention_vector(scores, name="attention"):
     return v
 
 
-def normalize_rows(keys):
-    """Scale every row of a key matrix to unit Euclidean norm.
+def key_row_norms(keys, name="key"):
+    """Row norms of a key matrix, each finite and at least ZERO_NORM_EPS: the key-row rule.
 
-    Raises ZeroRowError for any row whose norm falls below ZERO_NORM_EPS;
-    a zero key vector has no direction and cosine similarity against it is
-    undefined. A row whose norm is not finite (a NaN or inf entry, or an
-    overflow) raises DimensionMismatchError, as check_finite does.
+    A NaN or inf entry, or an overflow, raises NonFiniteValueError. A zero key
+    has no direction, so cosine similarity against it is undefined: ZeroRowError.
     """
-    k = as_matrix(keys)
+    k = as_matrix(keys, name)
     if k.shape[0] == 0:
-        raise DimensionMismatchError("key matrix has no rows")
+        raise DimensionMismatchError(f"{name} matrix has no rows")
     with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
         norms = np.linalg.norm(k, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
-        raise DimensionMismatchError(f"key row {int(bad[0])} has a non-finite norm")
+        raise NonFiniteValueError(f"{name} row {int(bad[0])} has a non-finite norm")
     small = np.flatnonzero(norms < ZERO_NORM_EPS)
     if small.size:
-        raise ZeroRowError(int(small[0]))
-    return k / norms[:, None]
+        raise ZeroRowError(int(small[0]), name)
+    return norms
+
+
+def normalize_rows(keys):
+    """Scale every row of a key matrix to unit Euclidean norm (rows as key_row_norms checks)."""
+    k = as_matrix(keys)
+    return k / key_row_norms(k)[:, None]
 
 
 def similarity_matrix(a, b=None):

@@ -8,11 +8,9 @@ class TokzipError(Exception):
 class ZeroRowError(TokzipError):
     """A key matrix row has (near-)zero norm and cannot be normalized."""
 
-    def __init__(self, index, path=None):
+    def __init__(self, index, name="key"):
         self.index = index
-        self.path = path
-        where = f" in {path}" if path else ""
-        super().__init__(f"row {index} has zero norm{where}")
+        super().__init__(f"{name} row {index} has zero norm")
 
 
 class DimensionMismatchError(TokzipError):
@@ -67,13 +65,8 @@ class UsageError(TokzipError):
     """Command-line arguments are missing, out of range or inconsistent."""
 
 
-class NonFiniteValueError(TokzipError):
-    """A loaded tensor contains NaN or infinity."""
-
-    def __init__(self, path, index):
-        self.path = path
-        self.index = index
-        super().__init__(f"{path}: non-finite value at flat index {index}")
+class NonFiniteValueError(DimensionMismatchError):
+    """A tensor contains NaN or infinity, or a key row's norm overflows."""
 
 
 class GridMismatchError(TokzipError):

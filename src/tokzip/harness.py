@@ -22,6 +22,7 @@ from .selection import (
     global_select,
     local_sample_count,
     local_select,
+    merge_indices,
 )
 
 CLUSTER_NOISE = 0.05  # within-cluster cosine stays above 0.99
@@ -129,8 +130,11 @@ def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(),
     """Non-adaptive selection baselines, emitted as ordinary SelectionResults.
 
     random  - m uniform indices without replacement, m from the adaptive path
-    uniform - stride sampling at the adaptive m
+    uniform - the m evenly spaced indices floor(i * N / m), i < m
     fixed   - attention-guided sampling at count round(ratio * N)
+
+    Each ends in merge_indices, as the adaptive path does: a crop that would
+    keep nothing keeps cfg.min_retained tokens, tagged fallback.
 
     Bound to method and ratio (functools.partial), it is a `select` step for
     compress_subimage. cfg.seed drives random and fixed; attn_deep is unused.
@@ -139,23 +143,19 @@ def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(),
     if method in ("random", "uniform"):
         m = local_sample_count(density, n)
         if method == "random":
-            rng = np.random.default_rng(cfg.seed)
-            chosen = np.sort(rng.choice(n, size=m, replace=False)) if m else np.empty(0, dtype=np.intp)
+            chosen = np.sort(np.random.default_rng(cfg.seed).choice(n, size=m, replace=False))
         else:
-            stride = math.ceil(n / m) if m else n + 1
-            chosen = np.arange(0, n, stride, dtype=np.intp)
+            chosen = (np.arange(m, dtype=np.intp) * n) // m
     elif method == "fixed":
         if ratio is None or not 0.0 <= ratio <= 1.0:
             raise ValueError("fixed baseline needs ratio in [0, 1]")
-        m = local_sample_count(ratio, n)
-        chosen = local_select(attn_low, m, cfg)
+        chosen = local_select(attn_low, local_sample_count(ratio, n), cfg)
     else:
         raise ValueError(f"unknown baseline method {method!r}")
-    chosen = np.asarray(chosen, dtype=np.intp)
     return SelectionResult(
         global_indices=np.empty(0, dtype=np.intp),
         local_indices=chosen,
-        merged_indices=chosen,
+        merged_indices=merge_indices(np.empty(0, dtype=np.intp), chosen, attn_low, cfg),
     )
 
 

@@ -32,8 +32,8 @@ def write_pgm(path, grid, scale=1):
     if scale < 1:
         raise ValueError("scale must be >= 1")
     g = np.repeat(np.repeat(g, scale, axis=0), scale, axis=1)
-    lines = [f"P2", f"{g.shape[1]} {g.shape[0]}", "255"]
-    lines += [" ".join(str(int(v)) for v in row) for row in g]
+    lines = ["P2", f"{g.shape[1]} {g.shape[0]}", "255"]
+    lines += [" ".join(map(str, row)) for row in g.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import AggregationConfig, aggregate
-from .core import as_matrix, check_attention_vector, quantile
+from .core import as_matrix, check_attention_vector, check_finite, key_row_norms, quantile
 from .density import DensityConfig, DensityReport, compute_density
 from .errors import (
     DimensionMismatchError,
@@ -38,7 +38,9 @@ class SubImageBundle:
     keys_deep: deep-layer attention keys (aggregation similarity)
     attn_deep: deep-layer CLS attention (global branch + merge weights)
 
-    Validated once, when built; derive a changed copy with dataclasses.replace.
+    Checked once, when built, whether read from disk or made in memory;
+    derive a changed copy with dataclasses.replace. Errors name the image_id
+    and the field.
     """
 
     y_last: np.ndarray
@@ -53,32 +55,26 @@ class SubImageBundle:
     crop_position: tuple = (0, 0)
 
     def __post_init__(self):
-        self.validate()
+        where = f"{self.image_id or 'sub-image'}: "
+        y = as_matrix(self.y_last, where + "y_last")
+        check_finite(y, where + "y_last")
+        n = y.shape[0]
+        for name in ("keys_low", "keys_deep"):
+            k = as_matrix(getattr(self, name), where + name)
+            if k.shape[0] != n:
+                raise DimensionMismatchError(f"{where}{name} has {k.shape[0]} rows for {n} tokens")
+            key_row_norms(k, where + name)
+        for name in ("attn_low", "attn_deep"):
+            a = check_attention_vector(getattr(self, name), where + name)
+            if a.size != n:
+                raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
+        rows, cols = self.grid_shape
+        if rows * cols != n:
+            raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")
 
     @property
     def n_tokens(self):
         return self.y_last.shape[0]
-
-    def validate(self):
-        y = as_matrix(self.y_last)
-        n = y.shape[0]
-        for name in ("keys_low", "keys_deep"):
-            k = as_matrix(getattr(self, name))
-            if k.shape[0] != n:
-                raise DimensionMismatchError(
-                    f"{name} has {k.shape[0]} rows but y_last has {n}"
-                )
-        for name in ("attn_low", "attn_deep"):
-            a = check_attention_vector(getattr(self, name), name)
-            if a.size != n:
-                raise DimensionMismatchError(
-                    f"{name} has length {a.size} but y_last has {n} rows"
-                )
-        rows, cols = self.grid_shape
-        if rows * cols != n:
-            raise DimensionMismatchError(
-                f"grid_shape {self.grid_shape} does not tile {n} tokens"
-            )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import tokzip.bundle_io
 from tokzip import (
     SyntheticSpec,
     compress_document,
@@ -52,7 +53,7 @@ def test_length_mismatch_names_files(tmp_path):
     write_tensor(tmp_path / attn_file, np.ones(5, dtype=np.float32))
     with pytest.raises(DimensionMismatchError) as exc:
         load_bundle(manifest)
-    assert attn_file in str(exc.value)
+    assert f"{b.image_id}: attn_low" in str(exc.value)
 
 
 def test_nonfinite_rejected(tmp_path):
@@ -76,6 +77,32 @@ def test_zero_key_row_rejected(tmp_path):
     with pytest.raises(ZeroRowError) as exc:
         load_bundle(manifest)
     assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("field,row,error", [("y_last", 1, NonFiniteValueError),
+                                             ("keys_low", 2, NonFiniteValueError),
+                                             ("keys_deep", 2, ZeroRowError)])
+def test_bundle_built_in_memory_gets_the_same_checks(field, row, error):
+    b = _small_bundle()
+    bad = np.array(getattr(b, field))
+    bad[row] = np.nan if error is NonFiniteValueError else 0.0
+    with pytest.raises(error, match=f"{b.image_id}: {field}"):
+        dataclasses.replace(b, **{field: bad})
+
+
+def test_manifest_is_checked_before_any_tensor_is_read(tmp_path, monkeypatch):
+    bundles = [dataclasses.replace(_small_bundle(seed=s), image_id=f"sub_{s}") for s in (1, 2, 3)]
+    manifest = write_bundle(tmp_path, bundles)
+    doc = yaml.safe_load(manifest.read_text())
+    calls = []
+    monkeypatch.setattr(tokzip.bundle_io, "read_tensor", lambda path: calls.append(path))
+    for key, value in (("grid_shape", [2, "x"]), ("crop_position", [-1, 0]),
+                       ("image_id", "sub_1"), ("image_id", "a/b"), ("keys_deep", None)):
+        last = dict(doc["subimages"][-1], **{key: value})
+        manifest.write_text(yaml.safe_dump({"subimages": doc["subimages"][:-1] + [last]}))
+        with pytest.raises(ParseError, match="subimage 2|grid_shape|crop_position"):
+            load_bundle(manifest)
+    assert calls == []
 
 
 def test_attention_sum_warning(tmp_path):

@@ -93,6 +93,18 @@ def test_masks_command(manifest, tmp_path):
     assert (tmp_path / "m" / "sub_b_redundancy.pgm").exists()
 
 
+def test_masks_reads_no_tensor(manifest, tmp_path):
+    main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    args = ["masks", "--manifest", str(manifest), "--results", str(tmp_path / "o" / "results.json")]
+    assert main(args + ["--out", str(tmp_path / "m1")]) == 0
+    tensors = sorted(tmp_path.rglob("*.tkzt"))
+    assert len(tensors) == 18  # 5 inputs and 1 output for each of 3 images
+    for path in tensors:
+        path.unlink()
+    assert main(args + ["--out", str(tmp_path / "m2")]) == 0
+    assert _tree_hash(tmp_path / "m1") == _tree_hash(tmp_path / "m2")
+
+
 def test_baseline_fixed_ratio(manifest, tmp_path, capsys):
     assert main(["baseline", "--manifest", str(manifest), "--method", "fixed",
                  "--ratio", "0.5", "--out", str(tmp_path / "b")]) == 0
@@ -133,11 +145,15 @@ def test_error_exit_code(tmp_path, capsys):
 # A manifest entry for the fixture's sub_a tensors, seen from tmp_path.
 SUB_A = ", ".join(f"{name}: bundle/sub_a_{name}.tkzt" for name in TENSOR_FIELDS)
 ONE_META = '{"subimages": [{"meta": "m.json", "tokens": "t.tkzt"}]}'
+# A passed-through global image has no mask to check the grid against: N is its index count.
+HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch_provenance": [], '
+                  '"grid_shape": [3000000, 300000], "retained_indices": [0, 1, 2, 3]}')
 
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
-# except image_id_with_slash, which wrote its output outside --out, and the last four, which
-# exited 0: two sub-images with one id shared one set of output files, an empty id was
-# replaced by the entry's position, and a non-finite iqr_factor switched the global branch off.
+# except image_id_with_slash and labels_not_file_name, which wrote output outside --out, and
+# four that exited 0: two sub-images with one id shared one set of output files, an empty id
+# was replaced by the entry's position, and a non-finite iqr_factor switched the global branch
+# off. masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -182,6 +198,11 @@ BAD_INPUTS = {
                        "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "iqr_factor_inf": ({"c.yaml": "selection:\n  iqr_factor: .inf\n"},
                        "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "labels_not_file_name": ({}, "stats --results {t}/run/results.json --labels ../escaped "
+                                 "--out {t}/o"),
+    "masks_meta_grid_too_large": ({"results.json": ONE_META, "m.json": HUGE_GRID_META},
+                                  "masks --manifest {manifest} --results {t}/results.json "
+                                  "--out {t}/o"),
 }
 
 
@@ -197,6 +218,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if case == "unknown_config_key":
         assert "'alpah'" in err
+    if case == "labels_not_file_name":
+        assert not list(tmp_path.glob("escaped*"))
 
 
 def test_warning_is_one_line(manifest, tmp_path, capsys):

@@ -35,9 +35,9 @@ READERS = {
     "config.yaml": ("compress",),
     "run/results.json": ("stats", "masks"),
     "run/sub_b_meta.json": ("stats", "masks"),
-    "bundle/sub_b_attn_low.tkzt": ("compress", "density", "masks", "baseline"),
-    "bundle/sub_b_keys_low.tkzt": ("compress", "density", "masks", "baseline"),
-    "bundle/global_y_last.tkzt": ("compress", "density", "masks", "baseline"),
+    "bundle/sub_b_attn_low.tkzt": ("compress", "density", "baseline"),
+    "bundle/sub_b_keys_low.tkzt": ("compress", "density", "baseline"),
+    "bundle/global_y_last.tkzt": ("compress", "density", "baseline"),
 }
 
 # Short pieces that often keep YAML and JSON well formed but change a value.

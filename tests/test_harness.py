@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from tokzip import (
     SelectionConfig,
     SyntheticSpec,
     baseline_select,
+    compress_subimage,
     compute_density,
     generate,
     global_select,
+    local_sample_count,
 )
 from tokzip.errors import InfeasibleSpecError
 from tokzip.harness import chi2_sf, uniform_subset_chisquare
@@ -106,6 +109,30 @@ class TestBaselines:
         b = self._bundle()
         with pytest.raises(ValueError):
             baseline_select("bogus", b.attn_deep, b.attn_low, _density(b))
+
+    def test_uniform_keeps_exactly_m_evenly_spaced(self):
+        n = 576
+        attn = np.full(n, 1.0 / n)
+        for d in np.linspace(0.0, 1.0, 401).tolist() + [0.9]:
+            m = local_sample_count(d, n)
+            kept = baseline_select("uniform", attn, attn, d).merged_indices
+            assert kept.size == max(m, 1), d  # d=0 keeps the one fallback token
+            if m:
+                assert kept.tolist() == [i * n // m for i in range(m)], d
+        assert kept.size == 518  # d=0.9
+
+    @pytest.mark.parametrize("method,ratio", [("random", None), ("uniform", None), ("fixed", 0.0)])
+    def test_empty_choice_gets_the_merge_fallback(self, method, ratio):
+        # 16 clones: every token is redundant, so d=0 and the adaptive m is 0
+        b = generate(SyntheticSpec(n_tokens=16, dim=20, redundancy_fraction=1.0,
+                                   attention_profile="concentrated", seed=2))
+        dcfg = DensityConfig(alpha=0.7, limit_k=3)
+        adaptive = compress_subimage(b, dcfg)
+        assert adaptive.density_report.density == 0.0
+        res = compress_subimage(b, dcfg, select=functools.partial(baseline_select, method,
+                                                                  ratio=ratio))
+        assert res.retained_indices.tolist() == adaptive.retained_indices.tolist()
+        assert res.retained_indices.size == 1 and res.branch_provenance == ["fallback"]
 
 
 class TestChi2Sf:
