@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BLOCK_ROWS,
-    as_matrix,
-    check_attention_vector,
-    normalize_rows,
-    similarity_matrix,
-)
+from .core import BLOCK_ROWS, CosineKeys, as_matrix, check_attention_vector, similarity_matrix
 from .errors import DimensionMismatchError, EmptyRetentionError, NeighborCountExceedsTokensError
 
 
@@ -42,30 +36,56 @@ class AggregationConfig:
             raise ValueError("empty aggregation group: knn_k=0 with include_self=False")
 
 
-def neighbor_groups(keys_normalized, rows, knn_k):
+def neighbor_groups(keys, rows, knn_k):
     """Each row's knn_k most similar other tokens, most similar first.
 
-    Returns a len(rows) x knn_k index array. Order is (similarity desc,
-    index asc), so a tie at the cut goes to the lowest index. Similarities
-    are taken against all N tokens; the caller bounds len(rows), which sets
-    the len(rows) x N working set.
+    `keys` is a CosineKeys. Returns a len(rows) x knn_k index array in
+    (exact cosine desc, index asc) order, so a tie at the cut goes to the
+    lowest index. Similarities are taken against all N tokens; the caller
+    bounds len(rows), which sets the len(rows) x N working set.
+
+    The float32 top knn_k + 1 of a row decide it when each value is more than
+    2 eps above the next: every value is within eps of its exact cosine, and
+    every other token is at most the (knn_k + 1)-th. The other rows go to
+    _recheck.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if knn_k == 0:
         return np.empty((rows.size, 0), dtype=np.intp)
-    sim = similarity_matrix(keys_normalized[rows], keys_normalized)
+    sim = similarity_matrix(keys.unit[rows], keys.unit)
     sim[np.arange(rows.size), rows] = -np.inf  # neighbors are other tokens
-    cut = sim.shape[1] - knn_k
+    cut = sim.shape[1] - knn_k - 1
     top = np.argpartition(sim, cut, axis=1)[:, cut:]
-    kth = np.take_along_axis(sim, top[:, :1], axis=1)
-    top.sort(axis=1)
-    top_sims = np.take_along_axis(sim, top, axis=1)
-    groups = np.take_along_axis(top, np.argsort(-top_sims, axis=1, kind="stable"), axis=1)
-    # Where more than knn_k values reach the k-th largest, argpartition kept an
-    # arbitrary part of the tie; rank those rows in full to keep the lowest indices.
-    for r in np.flatnonzero(np.count_nonzero(sim >= kth, axis=1) > knn_k):
-        groups[r] = np.argsort(-sim[r], kind="stable")[:knn_k]
+    top = np.take_along_axis(top, np.argsort(-np.take_along_axis(sim, top, axis=1)), axis=1)
+    values = np.take_along_axis(sim, top, axis=1).astype(np.float64)
+    groups = top[:, :knn_k]
+    still = np.flatnonzero((values[:, :-1] - values[:, 1:] <= 2 * keys.eps).any(axis=1))
+    if still.size:
+        groups[still] = _recheck(keys, sim[still], rows[still], values[still, knn_k - 1], knn_k)
     return groups
+
+
+def _recheck(keys, sim, rows, kth, knn_k):
+    """Top knn_k of rows the float32 filter left open.
+
+    The exact top knn_k of a row is among the tokens whose float32 value is
+    at least its float32 knn_k-th largest `kth` minus 2 eps. These candidates
+    are sorted by float64 cosine. Where consecutive ones are within 2 eps64 of
+    each other, the run they form is put in order by CosineKeys.exact_order.
+    """
+    r, cand = np.nonzero(sim >= (kth - 2 * keys.eps)[:, None])  # compared in float64
+    cos = keys.cosines(rows[r], cand)
+    order = np.lexsort((cand, -cos, r))
+    r, cand, cos = r[order], cand[order], cos[order]
+    rank = np.arange(r.size) - np.searchsorted(r, r)  # place within the row
+    starts = rank == 0
+    starts[1:] |= cos[:-1] - cos[1:] > 2 * keys.eps64
+    lo = np.flatnonzero(starts)
+    hi = np.append(lo[1:], r.size)
+    open_runs = (hi - lo > 1) & (rank[lo] < knn_k)
+    for a, b in zip(lo[open_runs], hi[open_runs]):
+        cand[a:b] = keys.exact_order(rows[r[a]], cand[a:b])
+    return cand[rank < knn_k].reshape(rows.size, knn_k)
 
 
 def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
@@ -76,9 +96,10 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     similarity break toward the lowest index.
 
     Retained rows are processed in blocks of at most BLOCK_ROWS: only the
-    R x N similarities of retained rows are computed. Besides the N x D keys
-    and the R x D output, the working set is O(BLOCK_ROWS * N) similarities
-    plus a BLOCK_ROWS x (knn_k + 1) x D gather of group tokens.
+    R x N similarities of retained rows are computed. Besides the R x D
+    output and the N x D float32 unit keys, the working set is
+    O(BLOCK_ROWS * N) similarities plus a BLOCK_ROWS x (knn_k + 1) x D gather
+    of group tokens.
     """
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
@@ -88,19 +109,22 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
         raise EmptyRetentionError("retained index set is empty")
     if retained[0] < 0 or retained[-1] >= n:
         raise IndexError(f"retained indices out of range [0, {n})")
-    kn = normalize_rows(keys_deep)
-    if kn.shape[0] != n or weights_full.size != n:
+    k = as_matrix(keys_deep, "keys_deep")
+    if k.shape[0] != n or weights_full.size != n:
         raise DimensionMismatchError(f"tokens, keys_deep and attn_deep have {n}, "
-                                     f"{kn.shape[0]} and {weights_full.size} rows")
+                                     f"{k.shape[0]} and {weights_full.size} rows")
     if cfg.knn_k > n - 1:
         raise NeighborCountExceedsTokensError(
             f"knn_k={cfg.knn_k} but only {n - 1} candidate neighbors exist"
         )
 
+    # The output outlives the unit rows, so it is allocated first: the other
+    # order raises the process's peak RSS.
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
+    keys = CosineKeys(k)
     for lo in range(0, retained.size, BLOCK_ROWS):
         rows = retained[lo : lo + BLOCK_ROWS]
-        groups = neighbor_groups(kn, rows, cfg.knn_k)
+        groups = neighbor_groups(keys, rows, cfg.knn_k)
         if cfg.include_self:
             groups = np.concatenate([rows[:, None], groups], axis=1)
         w = weights_full[groups]

@@ -1,8 +1,14 @@
 """Shared numerical kernels: row normalization, cosine similarity, quantiles.
 
-All math runs in float64 internally even though tensors on disk are float32;
-the N x N similarity products are where float32 accumulation error would bite.
+Every keep/drop decision is defined on the exact cosine of two key rows as
+given, a·b / (|a| |b|), so no decision depends on BLAS rounding, kernel or
+thread count. CosineKeys decides them in three tiers: a float32 GEMM of unit
+rows with a rigorous error bound, a float64 recheck of the few entries the
+bound leaves open, and an exact integer comparison for those still open.
 """
+
+import math
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -16,9 +22,9 @@ ZERO_NORM_EPS = 1e-12
 BLOCK_ROWS = 256
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a 2-D float64 array without copying when already compliant."""
-    arr = np.asarray(a, dtype=np.float64)
+def as_matrix(a, name="matrix", dtype=np.float64):
+    """Coerce to a 2-D array of `dtype` without copying when already compliant."""
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
@@ -61,7 +67,7 @@ def key_row_norms(keys, name="key"):
     if k.shape[0] == 0:
         raise DimensionMismatchError(f"{name} matrix has no rows")
     with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
-        norms = np.linalg.norm(k, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", k, k))
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise NonFiniteValueError(f"{name} row {int(bad[0])} has a non-finite norm")
@@ -78,14 +84,167 @@ def normalize_rows(keys):
 
 
 def similarity_matrix(a, b=None):
-    """Cosine similarities of unit-normalized rows: S = A B^T, with B = A by default."""
-    a = as_matrix(a)
-    b = a if b is None else as_matrix(b)
+    """Cosine similarities of unit-normalized rows: S = A B^T, with B = A by default.
+
+    float32 operands stay float32 (the filter GEMM of CosineKeys); any other
+    input is computed in float64.
+    """
+
+    def operand(x):
+        x = np.asarray(x)
+        return as_matrix(x, dtype=np.float32 if x.dtype == np.float32 else np.float64)
+
+    a = operand(a)
+    b = a if b is None else operand(b)
     if a.size == 0 or b.size == 0:
         raise DimensionMismatchError("cannot build a similarity matrix from an empty matrix")
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(f"row lengths differ: {a.shape[1]} vs {b.shape[1]}")
     return a @ b.T
+
+
+# Unit roundoff, and the smallest normal number: one operation that underflows,
+# flushed to zero or not, is off by less than that.
+_ROUNDOFF = {"float32": (2.0**-24, 2.0**-126), "float64": (2.0**-53, 2.0**-1022)}
+
+
+def _gamma(n, u):
+    """gamma_n = n u / (1 - n u), the relative error of n roundings of roundoff u."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+
+
+def cosine_error_bound(d, precision):
+    """Bound eps on |computed similarity - exact cosine| of two key rows of length d.
+
+    precision "float32" is the filter: unit rows divided in float64, cast to
+    float32, and multiplied by a float32 GEMM. "float64" is the recheck: unit
+    rows and their dot product in float64 (CosineKeys.cosines).
+
+    Derivation, with u = 2^-53 and a row a whose norm is at least
+    ZERO_NORM_EPS. The float64 norm (a sum of d squares in any order, then a
+    square root) is |a| (1 + theta_a) with |theta_a| <= theta = gamma_{d+1}
+    plus the underflow of squares, 4 d 2^-1022 / ZERO_NORM_EPS^2. A computed
+    unit entry is v_t = a_t / |a| (1 + rho_t) + eta_t: the division and the
+    float32 cast (roundoff u_c = 2^-24; 0 in the recheck) give
+    |rho_t| <= rho = (u + u_c + u u_c + theta) / (1 - theta), and underflow gives
+    |eta_t| <= eta = 2 tiny, with tiny the smallest normal of the precision.
+    With delta = rho + eta sqrt(d), and sum |a_t| / |a| <= sqrt(d), the exact
+    dot product of two computed unit rows is within (1 + delta)^2 - 1 of the
+    exact cosine, and sum |v_t w_t| <= (1 + delta)^2. A dot product of length d
+    in any summation order, with or without FMA, adds gamma_d (1 + delta)^2
+    for rounding and d eta for products and sums that underflow. So
+
+        eps = (2 delta + delta^2) (1 + gamma_d) + gamma_d + d eta,
+
+    with gamma_d at the precision's roundoff: about 6.1e-5 in float32 and
+    3.4e-13 in float64 at d = 1024. It is rounded up by a relative 2^-20,
+    far more than the float64 rounding of evaluating it, of alpha +- eps,
+    and of the differences it is compared with. From d = 2^24 in float32 it
+    is inf, and the filter decides nothing.
+    """
+    u_gemm, tiny = _ROUNDOFF[precision]
+    u = _ROUNDOFF["float64"][0]
+    u_cast = u_gemm if precision == "float32" else 0.0
+    theta = _gamma(d + 1, u) + 4 * d * _ROUNDOFF["float64"][1] / ZERO_NORM_EPS**2
+    rho = (u + u_cast + u * u_cast + theta) / (1.0 - theta)
+    eta = 2 * tiny
+    delta = rho + eta * math.sqrt(d)
+    gamma = _gamma(d, u_gemm)
+    return ((2 * delta + delta * delta) * (1 + gamma) + gamma + d * eta) * (1 + 2.0**-20)
+
+
+def _integer_rows(k):
+    """Rows as integers: k[r] == ints[r] * 2**e[r] exactly, for some e[r] per row.
+
+    Each entry is an odd integer times a power of two; a row is scaled so its
+    smallest power is 1. The result is int64 when every dot product of two
+    rows fits in it (small integers, as in lattice keys), else Python ints.
+    """
+    mantissa, exponent = np.frexp(k)  # k = mantissa * 2**exponent, 53-bit mantissa
+    ints = (mantissa * 2.0**53).astype(np.int64)
+    low = ints & -ints  # the lowest set bit, 0 for a zero entry
+    odd = np.where(ints != 0, ints // np.maximum(low, 1), 0)
+    power = exponent + np.log2(np.maximum(low, 1)).astype(np.int64)
+    power = np.where(ints != 0, power, np.iinfo(np.int64).max)
+    shift = np.where(ints != 0, power - power.min(axis=1, keepdims=True), 0)
+    if (np.abs(odd) * np.exp2(np.minimum(shift, 64))).max() ** 2 * k.shape[1] < 2.0**62:
+        return odd << shift
+    return odd.astype(object) << shift.astype(object)
+
+
+class CosineKeys:
+    """Key rows prepared for decisions on their exact cosines.
+
+    keys:  the rows as given, float64, checked by key_row_norms
+    norms: their float64 norms
+    unit:  the unit rows, divided in float64 block by block and cast once
+           to float32: the operand of the filter GEMM. Keys are not cast
+           first: entries beyond about 3.4e38 would overflow.
+    eps:   cosine_error_bound in float32: a float32 similarity of two unit
+           rows is within eps of their exact cosine
+    eps64: the same bound for `cosines`
+    """
+
+    def __init__(self, keys):
+        self.keys = as_matrix(keys, "key")
+        self.norms = key_row_norms(self.keys)
+        n, d = self.keys.shape
+        self.unit = np.empty((n, d), dtype=np.float32)
+        for lo in range(0, n, BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)  # divided in float64, then cast
+            np.divide(self.keys[block], self.norms[block, None], out=self.unit[block],
+                      casting="same_kind")
+        self.eps = cosine_error_bound(d, "float32")
+        self.eps64 = cosine_error_bound(d, "float64")
+
+    def cosines(self, i, j):
+        """float64 cosines of the row pairs (i[t], j[t]), each within eps64 of exact."""
+        a = self.keys[i] / self.norms[i, None]
+        b = self.keys[j] / self.norms[j, None]
+        return np.einsum("ij,ij->i", a, b)
+
+    def exceeds(self, i, j, alpha):
+        """Exact `cosine > alpha` for the row pairs (i[t], j[t]).
+
+        `cosines` decides the pairs more than eps64 from alpha. The rest
+        compare sign(a.b) (a.b)^2 with sign(alpha) alpha^2 |a|^2 |b|^2 in
+        integers, which needs no square root; the powers of two cancel.
+        """
+        cos = self.cosines(i, j)
+        out = cos > alpha
+        still = np.flatnonzero(~(np.abs(cos - alpha) > self.eps64))
+        if still.size:
+            need, where = np.unique(np.concatenate([i[still], j[still]]), return_inverse=True)
+            ints = _integer_rows(self.keys[need])
+            squares = (ints * ints).sum(axis=1).astype(object)
+            a, b = where[: still.size], where[still.size :]
+            dots = (ints[a] * ints[b]).sum(axis=1).astype(object)
+            p, q = float(alpha).as_integer_ratio()
+            out[still] = dots * np.abs(dots) * (q * q) > p * abs(p) * squares[a] * squares[b]
+        return out
+
+    def exact_order(self, row, cols):
+        """`cols` ordered by (exact cosine with `row` desc, index asc).
+
+        For one row the cosine orders as the fraction sign(a.b) (a.b)^2 / |b|^2,
+        compared exactly by cross-multiplying, once per distinct key row among `cols`.
+        """
+        cols = np.asarray(cols)
+        ids = {}
+        which = [ids.setdefault(self.keys[c].tobytes(), len(ids)) for c in cols]
+        if len(ids) == 1:  # copies of one row tie
+            return np.sort(cols)
+        distinct = cols[[which.index(t) for t in range(len(ids))]]
+        ints = _integer_rows(self.keys[np.append(row, distinct)])
+        dots = (ints[1:] * ints[0]).sum(axis=1).tolist()
+        num = [x * abs(x) for x in dots]
+        den = (ints[1:] * ints[1:]).sum(axis=1).tolist()
+
+        def after(s, t):  # > 0 when cols[s] goes after cols[t]
+            a, b = which[s], which[t]
+            return (num[b] * den[a] - num[a] * den[b]) or int(cols[s] - cols[t])
+
+        return cols[sorted(range(len(cols)), key=cmp_to_key(after))]
 
 
 def quantile(values, q):

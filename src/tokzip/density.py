@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, normalize_rows, similarity_matrix
+from .core import BLOCK_ROWS, CosineKeys, as_matrix, similarity_matrix
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,50 @@ class DensityReport:
         return 1.0 - self.redundancy
 
 
+def _float32_beyond(x, up):
+    """A float32 at or beyond x: >= x if up, else <= x.
+
+    A float32 array compared with a Python float compares in float32 (NEP 50),
+    so a threshold is rounded outward here, not to nearest.
+    """
+    y = np.float32(x)
+    if (float(y) < x) if up else (float(y) > x):
+        y = np.nextafter(y, np.float32(np.inf if up else -np.inf))
+    return y
+
+
 def compute_density(keys, cfg=DensityConfig()):
     """Count similar peers per token and report redundancy r and density d = 1 - r.
 
-    Comparisons are strict ("> alpha", "> limit_k") exactly as stated.
+    Comparisons are strict ("> alpha", "> limit_k") exactly as stated, on the
+    exact cosine of the key rows. A float32 similarity more than eps from
+    alpha decides its entry; CosineKeys.exceeds decides the rest.
 
     Similarity is symmetric, so only the upper block triangle is computed:
     each block of at most BLOCK_ROWS rows is compared with itself and every
     later token, and its counts go to its rows and, transposed, to the later
     columns. No N x N matrix is formed; the working set is O(BLOCK_ROWS * N).
     """
-    kn = normalize_rows(keys)
-    n = kn.shape[0]
+    k = as_matrix(keys, "key")
+    n = k.shape[0]
+    # The counts and the mask outlive the unit rows, so they are allocated
+    # first: the other order raises the process's peak RSS.
     peer_counts = np.zeros(n, dtype=np.intp)
+    redundant = np.empty(n, dtype=bool)
+    ck = CosineKeys(k)
+    above = _float32_beyond(cfg.alpha + ck.eps, up=True)
+    below = _float32_beyond(cfg.alpha - ck.eps, up=False)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        similar = similarity_matrix(kn[lo:hi], kn[lo:]) > cfg.alpha
+        sim = similarity_matrix(ck.unit[lo:hi], ck.unit[lo:])
+        similar = sim > above
+        still = (sim >= below) ^ similar  # within eps of alpha: the bound decides nothing
+        if still.any():
+            r, c = np.nonzero(still)
+            similar[r, c] = ck.exceeds(r + lo, c + lo, cfg.alpha)
         if not cfg.count_self:
             diag = np.arange(hi - lo)
             similar[diag, diag] = False
         peer_counts[lo:hi] += np.count_nonzero(similar, axis=1)
         peer_counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
-    return DensityReport(redundant_mask=peer_counts > cfg.limit_k)
+    return DensityReport(redundant_mask=np.greater(peer_counts, cfg.limit_k, out=redundant))

@@ -1,0 +1,171 @@
+"""Decisions on the exact cosine: the float32 filter, its bound and the exact tiers."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from operator import mul
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tokzip import DensityConfig, SubImageBundle, compute_density, normalize_rows, write_bundle
+from tokzip.aggregation import neighbor_groups
+from tokzip.core import CosineKeys, similarity_matrix
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def exact_gram(keys):
+    """Exact dot products of all pairs of rows, as fractions."""
+    ints = [[int(Fraction(x) * 2**1074) for x in row] for row in np.asarray(keys).tolist()]
+    return [[Fraction(sum(map(mul, a, b)), 2**2148) for b in ints] for a in ints]
+
+
+def sign_square(x):
+    return x * abs(x)
+
+
+def cosine_compare(gram, i, j, t):
+    """Sign of cos(row i, row j) - t, exactly: sign(a.b) (a.b)^2 against sign(t) t^2 |a|^2 |b|^2."""
+    lhs = sign_square(gram[i][j])
+    rhs = sign_square(Fraction(t)) * gram[i][i] * gram[j][j]
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def copied_gaussian_keys(n=577, d=1000, seed=583):
+    """Gaussian rows, a third of them copied over other rows."""
+    rng = np.random.default_rng(seed)
+    keys = rng.standard_normal((n, d)).astype(np.float32).astype(np.float64)
+    src = rng.choice(n, size=n // 3, replace=False)
+    dst = rng.choice(np.setdiff1d(np.arange(n), src), size=n // 3, replace=False)
+    keys[dst] = keys[src]
+    return keys
+
+
+def test_copies_follow_the_lowest_index_rule():
+    keys = copied_gaussian_keys()
+    n, knn_k = keys.shape[0], 3
+    groups = neighbor_groups(CosineKeys(keys), np.arange(n), knn_k)
+    # Reference: copies share one column of similarities, so they tie exactly
+    # and a stable sort puts the lowest index first. Distinct Gaussian rows at
+    # D=1000 are far further apart than float64 rounding.
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    kn = normalize_rows(keys)
+    sim = (kn @ kn[first].T)[:, inverse.ravel()]
+    np.fill_diagonal(sim, -np.inf)
+    want = np.argsort(-sim, axis=1, kind="stable")[:, :knn_k]
+    np.testing.assert_array_equal(groups, want)
+
+
+def _tree_digest(root):
+    h = hashlib.sha256()
+    for path in sorted(p for p in Path(root).rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_compress_tree_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    keys = copied_gaussian_keys()
+    n, d = keys.shape
+    rng = np.random.default_rng(1)
+    bundles = [
+        SubImageBundle(
+            y_last=rng.standard_normal((n, d)),
+            keys_low=keys,
+            attn_low=np.full(n, 1.0 / n),
+            keys_deep=keys,
+            attn_deep=rng.uniform(0.1, 1.0, n),
+            grid_shape=(1, n),
+            image_id=f"crop{i}",
+        )
+        for i in range(2)
+    ]
+    manifest = write_bundle(tmp_path / "in", bundles)
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "tokzip.cli", "compress", "--manifest",
+                        str(manifest), "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=300)
+        digests.add(_tree_digest(out))
+    assert len(digests) == 1
+
+
+@st.composite
+def near_alpha(draw, partners):
+    """(alpha, keys): row 0, and `partners` rows at cosines to it within a few ulps of alpha."""
+    alpha = draw(st.floats(min_value=-0.99, max_value=0.99))
+    d = draw(st.integers(min_value=2, max_value=64))
+    rows = [np.eye(1, d)[0]]
+    for _ in range(partners):
+        b = np.zeros(d)
+        b[0], b[1] = alpha, np.sqrt(1.0 - alpha * alpha)
+        for t in (0, 1):  # nudge each entry by a few ulps either way
+            b[t] += draw(st.integers(min_value=-4, max_value=4)) * np.spacing(b[t])
+        rows.append(b)
+    keys = np.vstack(rows) * 2.0 ** np.array(
+        draw(st.lists(st.integers(-30, 30), min_size=partners + 1, max_size=partners + 1))
+    )[:, None]
+    if draw(st.booleans()):  # turn the rows over every dimension
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        keys = keys @ np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0]
+    return alpha, keys
+
+
+@given(near_alpha(partners=1))
+@settings(max_examples=150, deadline=None)
+def test_cosines_near_alpha_are_decided_exactly(case):
+    alpha, keys = case
+    rep = compute_density(keys, DensityConfig(alpha=alpha, limit_k=0))
+    above = cosine_compare(exact_gram(keys), 0, 1, alpha) > 0
+    assert rep.redundant_mask.tolist() == [above, above]
+
+
+@given(near_alpha(partners=2))
+@settings(max_examples=100, deadline=None)
+def test_near_tied_neighbors_are_ordered_exactly(case):
+    # Rows 1 and 2 have cosines to row 0 that differ by a few ulps at most.
+    _, keys = case
+    first, second = neighbor_groups(CosineKeys(keys), [0], 2)[0].tolist()
+    gram = exact_gram(keys)
+    # For one row the cosine orders as sign(a.b) (a.b)^2 / |b|^2.
+    lhs = sign_square(gram[0][first]) * gram[second][second]
+    rhs = sign_square(gram[0][second]) * gram[first][first]
+    assert lhs > rhs or (lhs == rhs and first < second)
+
+
+def mixed_magnitude_rows(rng, n, d):
+    """Rows whose entries span 1e-30 to 1e30, with norms the key-row rule accepts."""
+    keys = rng.choice([-1.0, 1.0], size=(n, d)) * 10.0 ** rng.uniform(-30, 30, size=(n, d))
+    keys[:, 0] = np.where(np.abs(keys[:, 0]) < 1.0, 1.0, keys[:, 0])
+    return keys
+
+
+@pytest.mark.parametrize("d", [1, 3, 1024, 4096])
+def test_filter_and_recheck_stay_within_their_bounds(d):
+    rng = np.random.default_rng(d)
+    n = 5 if d >= 1024 else 12
+    keys = mixed_magnitude_rows(rng, n, d)
+    keys[1] = keys[0] * 3.0  # cosine exactly 1
+    keys[2] = -keys[0]  # cosine exactly -1
+    if d > 1:
+        keys[3] = np.where(np.arange(d) % 2, keys[0], 0.0)  # row 0 in part
+        keys[3, 0] = keys[0, 0]
+    keys[4] *= 1e100  # beyond float32: the keys must not be cast before dividing
+    ck = CosineKeys(keys)
+    sim = similarity_matrix(ck.unit, ck.unit)
+    assert sim.dtype == np.float32
+    i, j = np.triu_indices(n)
+    cos64 = ck.cosines(i, j)
+    gram = exact_gram(keys)
+    for t in range(i.size):
+        for value, eps in ((float(sim[i[t], j[t]]), ck.eps), (float(cos64[t]), ck.eps64)):
+            assert cosine_compare(gram, i[t], j[t], Fraction(value) + Fraction(eps)) <= 0
+            assert cosine_compare(gram, i[t], j[t], Fraction(value) - Fraction(eps)) >= 0
