@@ -1,16 +1,16 @@
 """Token aggregation: retained tokens absorb their nearest neighbors.
 
 Each retained token is grouped with its knn_k most similar tokens (cosine
-similarity of deep-layer attention keys) and replaced by the attention-
-weighted sum of the group, so unretained content is folded in rather than
-dropped.
+similarity of deep-layer attention keys, ordered exactly by
+core.CosineKeys.nearest) and replaced by the attention-weighted sum of the
+group, so unretained content is folded in rather than dropped.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CosineKeys, as_matrix, check_attention_vector, similarity_matrix
+from .core import BLOCK_ROWS, CosineKeys, as_matrix, check_attention_vector
 from .errors import DimensionMismatchError, EmptyRetentionError, NeighborCountExceedsTokensError
 
 
@@ -34,58 +34,6 @@ class AggregationConfig:
             raise ValueError(f"knn_k must be >= 0, got {self.knn_k}")
         if self.knn_k == 0 and not self.include_self:
             raise ValueError("empty aggregation group: knn_k=0 with include_self=False")
-
-
-def neighbor_groups(keys, rows, knn_k):
-    """Each row's knn_k most similar other tokens, most similar first.
-
-    `keys` is a CosineKeys. Returns a len(rows) x knn_k index array in
-    (exact cosine desc, index asc) order, so a tie at the cut goes to the
-    lowest index. Similarities are taken against all N tokens; the caller
-    bounds len(rows), which sets the len(rows) x N working set.
-
-    The float32 top knn_k + 1 of a row decide it when each value is more than
-    2 eps above the next: every value is within eps of its exact cosine, and
-    every other token is at most the (knn_k + 1)-th. The other rows go to
-    _recheck.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    if knn_k == 0:
-        return np.empty((rows.size, 0), dtype=np.intp)
-    sim = similarity_matrix(keys.unit[rows], keys.unit)
-    sim[np.arange(rows.size), rows] = -np.inf  # neighbors are other tokens
-    cut = sim.shape[1] - knn_k - 1
-    top = np.argpartition(sim, cut, axis=1)[:, cut:]
-    top = np.take_along_axis(top, np.argsort(-np.take_along_axis(sim, top, axis=1)), axis=1)
-    values = np.take_along_axis(sim, top, axis=1).astype(np.float64)
-    groups = top[:, :knn_k]
-    still = np.flatnonzero((values[:, :-1] - values[:, 1:] <= 2 * keys.eps).any(axis=1))
-    if still.size:
-        groups[still] = _recheck(keys, sim[still], rows[still], values[still, knn_k - 1], knn_k)
-    return groups
-
-
-def _recheck(keys, sim, rows, kth, knn_k):
-    """Top knn_k of rows the float32 filter left open.
-
-    The exact top knn_k of a row is among the tokens whose float32 value is
-    at least its float32 knn_k-th largest `kth` minus 2 eps. These candidates
-    are sorted by float64 cosine. Where consecutive ones are within 2 eps64 of
-    each other, the run they form is put in order by CosineKeys.exact_order.
-    """
-    r, cand = np.nonzero(sim >= (kth - 2 * keys.eps)[:, None])  # compared in float64
-    cos = keys.cosines(rows[r], cand)
-    order = np.lexsort((cand, -cos, r))
-    r, cand, cos = r[order], cand[order], cos[order]
-    rank = np.arange(r.size) - np.searchsorted(r, r)  # place within the row
-    starts = rank == 0
-    starts[1:] |= cos[:-1] - cos[1:] > 2 * keys.eps64
-    lo = np.flatnonzero(starts)
-    hi = np.append(lo[1:], r.size)
-    open_runs = (hi - lo > 1) & (rank[lo] < knn_k)
-    for a, b in zip(lo[open_runs], hi[open_runs]):
-        cand[a:b] = keys.exact_order(rows[r[a]], cand[a:b])
-    return cand[rank < knn_k].reshape(rows.size, knn_k)
 
 
 def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
@@ -124,7 +72,7 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     keys = CosineKeys(k)
     for lo in range(0, retained.size, BLOCK_ROWS):
         rows = retained[lo : lo + BLOCK_ROWS]
-        groups = neighbor_groups(keys, rows, cfg.knn_k)
+        groups = keys.nearest(rows, cfg.knn_k)
         if cfg.include_self:
             groups = np.concatenate([rows[:, None], groups], axis=1)
         w = weights_full[groups]

@@ -74,10 +74,13 @@ def read_manifest(manifest_path):
             raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
         if any(e["image_id"] == image_id for e in entries):
             raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
+        is_global = entry.get("is_global", False)
+        if type(is_global) is not bool:
+            raise ParseError(f"subimage {i}: is_global must be a bool, got {is_global!r}", where)
         entries.append({
             **{name: manifest_path.parent / path for name, path in paths.items()},
             "grid_shape": _int_pair(entry, "grid_shape", None, 1, where),
-            "is_global": bool(entry.get("is_global", False)),
+            "is_global": is_global,
             "dataset": str(entry.get("dataset", "default")),
             "image_id": image_id,
             "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, where),

@@ -183,6 +183,8 @@ def _cmd_baseline(args):
 
 
 def _cmd_selftest(args):
+    if args.seed < 0:
+        raise UsageError(f"selftest --seed must be >= 0, got {args.seed}")
     report = oracle_suite(seed=args.seed)
     all_ok = True
     for check in report:

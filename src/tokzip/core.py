@@ -2,9 +2,11 @@
 
 Every keep/drop decision is defined on the exact cosine of two key rows as
 given, a·b / (|a| |b|), so no decision depends on BLAS rounding, kernel or
-thread count. CosineKeys decides them in three tiers: a float32 GEMM of unit
-rows with a rigorous error bound, a float64 recheck of the few entries the
-bound leaves open, and an exact integer comparison for those still open.
+thread count. Both decisions are CosineKeys methods: `similar` (density's
+`cosine > alpha`) and `nearest` (aggregation's k-NN order). Each decides in
+three tiers: a float32 GEMM of unit rows with a rigorous error bound, a
+float64 recheck of the few entries the bound leaves open, and an exact
+integer comparison for those still open.
 """
 
 import math
@@ -87,7 +89,7 @@ def similarity_matrix(a, b=None):
     """Cosine similarities of unit-normalized rows: S = A B^T, with B = A by default.
 
     float32 operands stay float32 (the filter GEMM of CosineKeys); any other
-    input is computed in float64.
+    input is computed in float64. It is the only GEMM entry point.
     """
 
     def operand(x):
@@ -173,7 +175,7 @@ def _integer_rows(k):
 
 
 class CosineKeys:
-    """Key rows prepared for decisions on their exact cosines.
+    """Key rows prepared for decisions on their exact cosines: `similar` and `nearest`.
 
     keys:  the rows as given, float64, checked by key_row_norms
     norms: their float64 norms
@@ -197,13 +199,75 @@ class CosineKeys:
         self.eps = cosine_error_bound(d, "float32")
         self.eps64 = cosine_error_bound(d, "float64")
 
+    def similar(self, lo, hi, alpha):
+        """Exact `cosine > alpha` of rows lo:hi against rows lo:, as a bool block.
+
+        A float32 similarity more than eps from alpha decides its entry; the
+        thresholds are stepped one float32 ulp outward, since a float32 array
+        compares with a Python float in float32 (NEP 50). _exceeds decides
+        the rest.
+        """
+        sim = similarity_matrix(self.unit[lo:hi], self.unit[lo:])
+        out = sim > np.nextafter(np.float32(alpha + self.eps), np.float32(np.inf))
+        still = (sim >= np.nextafter(np.float32(alpha - self.eps), np.float32(-np.inf))) ^ out
+        if still.any():
+            r, c = np.nonzero(still)
+            out[r, c] = self._exceeds(r + lo, c + lo, alpha)
+        return out
+
+    def nearest(self, rows, knn_k):
+        """Each row's knn_k most similar other rows, most similar first.
+
+        Returns a len(rows) x knn_k index array in (exact cosine desc, index
+        asc) order, so a tie at the cut goes to the lowest index. Similarities
+        are taken against all N rows; the caller bounds len(rows), which sets
+        the len(rows) x N working set.
+
+        The float32 top knn_k + 1 of a row decide it when each value is more
+        than 2 eps above the next: every value is within eps of its exact
+        cosine, and every other row is at most the (knn_k + 1)-th. For the
+        other rows the exact top knn_k is among the candidates whose float32
+        value is at least the float32 knn_k-th largest minus 2 eps. These are
+        sorted by float64 cosine. Where consecutive ones are within 2 eps64 of
+        each other, the run they form is put in order by _exact_order.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if knn_k == 0:
+            return np.empty((rows.size, 0), dtype=np.intp)
+        sim = similarity_matrix(self.unit[rows], self.unit)
+        sim[np.arange(rows.size), rows] = -np.inf  # neighbors are other rows
+        cut = sim.shape[1] - knn_k - 1
+        top = np.argpartition(sim, cut, axis=1)[:, cut:]
+        top = np.take_along_axis(top, np.argsort(-np.take_along_axis(sim, top, axis=1)), axis=1)
+        values = np.take_along_axis(sim, top, axis=1).astype(np.float64)
+        groups = top[:, :knn_k]
+        still = np.flatnonzero((values[:, :-1] - values[:, 1:] <= 2 * self.eps).any(axis=1))
+        if still.size == 0:
+            return groups
+        kth = values[still, knn_k - 1] - 2 * self.eps
+        r, cand = np.nonzero(sim[still] >= kth[:, None])  # compared in float64
+        open_rows = rows[still]
+        cos = self.cosines(open_rows[r], cand)
+        order = np.lexsort((cand, -cos, r))
+        r, cand, cos = r[order], cand[order], cos[order]
+        rank = np.arange(r.size) - np.searchsorted(r, r)  # place within the row
+        starts = rank == 0
+        starts[1:] |= cos[:-1] - cos[1:] > 2 * self.eps64
+        lo = np.flatnonzero(starts)
+        hi = np.append(lo[1:], r.size)
+        open_runs = (hi - lo > 1) & (rank[lo] < knn_k)
+        for a, b in zip(lo[open_runs], hi[open_runs]):
+            cand[a:b] = self._exact_order(open_rows[r[a]], cand[a:b])
+        groups[still] = cand[rank < knn_k].reshape(still.size, knn_k)
+        return groups
+
     def cosines(self, i, j):
         """float64 cosines of the row pairs (i[t], j[t]), each within eps64 of exact."""
         a = self.keys[i] / self.norms[i, None]
         b = self.keys[j] / self.norms[j, None]
         return np.einsum("ij,ij->i", a, b)
 
-    def exceeds(self, i, j, alpha):
+    def _exceeds(self, i, j, alpha):
         """Exact `cosine > alpha` for the row pairs (i[t], j[t]).
 
         `cosines` decides the pairs more than eps64 from alpha. The rest
@@ -223,7 +287,7 @@ class CosineKeys:
             out[still] = dots * np.abs(dots) * (q * q) > p * abs(p) * squares[a] * squares[b]
         return out
 
-    def exact_order(self, row, cols):
+    def _exact_order(self, row, cols):
         """`cols` ordered by (exact cosine with `row` desc, index asc).
 
         For one row the cosine orders as the fraction sign(a.b) (a.b)^2 / |b|^2,

@@ -1,16 +1,16 @@
 """Information-density calculation from patch-patch key similarity.
 
 A token counts as redundant when strictly more than ``limit_k`` other tokens
-have cosine similarity strictly above ``alpha`` with it. The density of a
-sub-image is the fraction of non-redundant tokens and later doubles as its
-local-branch sampling ratio.
+have cosine similarity strictly above ``alpha`` with it; core.CosineKeys
+decides each similarity exactly. The density of a sub-image is the fraction
+of non-redundant tokens and later doubles as its local-branch sampling ratio.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CosineKeys, as_matrix, similarity_matrix
+from .core import BLOCK_ROWS, CosineKeys, as_matrix
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,11 @@ class DensityReport:
         return 1.0 - self.redundancy
 
 
-def _float32_beyond(x, up):
-    """A float32 at or beyond x: >= x if up, else <= x.
-
-    A float32 array compared with a Python float compares in float32 (NEP 50),
-    so a threshold is rounded outward here, not to nearest.
-    """
-    y = np.float32(x)
-    if (float(y) < x) if up else (float(y) > x):
-        y = np.nextafter(y, np.float32(np.inf if up else -np.inf))
-    return y
-
-
 def compute_density(keys, cfg=DensityConfig()):
     """Count similar peers per token and report redundancy r and density d = 1 - r.
 
     Comparisons are strict ("> alpha", "> limit_k") exactly as stated, on the
-    exact cosine of the key rows. A float32 similarity more than eps from
-    alpha decides its entry; CosineKeys.exceeds decides the rest.
+    exact cosine of the key rows: CosineKeys.similar decides each block.
 
     Similarity is symmetric, so only the upper block triangle is computed:
     each block of at most BLOCK_ROWS rows is compared with itself and every
@@ -84,16 +71,9 @@ def compute_density(keys, cfg=DensityConfig()):
     peer_counts = np.zeros(n, dtype=np.intp)
     redundant = np.empty(n, dtype=bool)
     ck = CosineKeys(k)
-    above = _float32_beyond(cfg.alpha + ck.eps, up=True)
-    below = _float32_beyond(cfg.alpha - ck.eps, up=False)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        sim = similarity_matrix(ck.unit[lo:hi], ck.unit[lo:])
-        similar = sim > above
-        still = (sim >= below) ^ similar  # within eps of alpha: the bound decides nothing
-        if still.any():
-            r, c = np.nonzero(still)
-            similar[r, c] = ck.exceeds(r + lo, c + lo, cfg.alpha)
+        similar = ck.similar(lo, hi, cfg.alpha)
         if not cfg.count_self:
             diag = np.arange(hi - lo)
             similar[diag, diag] = False

@@ -13,6 +13,7 @@ The format is deliberately tiny so exporters in any ML stack can emit it in
 a few lines; round-trips are bitwise lossless for finite float32 payloads.
 """
 
+import math
 import os
 import struct
 
@@ -57,7 +58,7 @@ def read_tensor(path):
         if len(raw_dims) < 4 * ndim:
             raise ParseError("truncated dims", path)
         dims = struct.unpack(f"<{ndim}I", raw_dims)
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)  # Python ints: an int64 product can wrap to 0
         payload_len = os.fstat(f.fileno()).st_size - f.tell()
         if payload_len != 4 * count:
             raise ParseError(

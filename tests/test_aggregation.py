@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokzip import AggregationConfig, aggregate, normalize_rows, similarity_matrix
-from tokzip.aggregation import neighbor_groups
 from tokzip.core import BLOCK_ROWS, CosineKeys
 from tokzip.errors import (
     DimensionMismatchError,
@@ -152,8 +151,7 @@ def test_blocked_matches_per_row_reference(n, n_ret, kind, lattice_keys):
     knn_k = min(3, n - 1)
 
     want_groups, want = per_row_reference(y, keys, attn, retained, knn_k)
-    np.testing.assert_array_equal(neighbor_groups(CosineKeys(keys), retained, knn_k),
-                                  want_groups)
+    np.testing.assert_array_equal(CosineKeys(keys).nearest(retained, knn_k), want_groups)
     got = aggregate(y, keys, attn, retained, AggregationConfig(knn_k=knn_k))
     np.testing.assert_array_equal(got, want)
 
@@ -193,7 +191,7 @@ def test_all_zero_group_weights_average_uniformly(lattice_keys):
     got = aggregate(y, keys, attn, retained, AggregationConfig(knn_k=3))
     np.testing.assert_array_equal(got, want)
     zero = np.flatnonzero(attn == 0)
-    groups = np.concatenate([zero[:, None], neighbor_groups(CosineKeys(keys), zero, 3)], axis=1)
+    groups = np.concatenate([zero[:, None], CosineKeys(keys).nearest(zero, 3)], axis=1)
     isolated = (attn[groups] == 0).all(axis=1)
     assert isolated.any()
     np.testing.assert_allclose(got[zero[isolated]], y[groups[isolated]].mean(axis=1),

@@ -151,9 +151,10 @@ HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch
 
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
 # except image_id_with_slash and labels_not_file_name, which wrote output outside --out, and
-# four that exited 0: two sub-images with one id shared one set of output files, an empty id
-# was replaced by the entry's position, and a non-finite iqr_factor switched the global branch
-# off. masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid.
+# five that exited 0: two sub-images with one id shared one set of output files, an empty id
+# was replaced by the entry's position, a non-finite iqr_factor switched the global branch
+# off, and a quoted is_global 'false' passed its crop through uncompressed.
+# masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -187,6 +188,9 @@ BAD_INPUTS = {
     "empty_aggregation_group": ({"c.yaml": "aggregation:\n  knn_k: 0\n  include_self: false\n"},
                                 "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "negative_seed": ({}, "baseline --manifest {manifest} --out {t}/o --method random --seed -1"),
+    "selftest_negative_seed": ({}, "selftest --seed -1"),
+    "is_global_string": ({"m.yaml": f"subimages: [{{{SUB_A}, is_global: 'false'}}]\n"},
+                         "compress --manifest {t}/m.yaml --out {t}/o"),
     "labels_count": ({}, "stats --results {t}/run/results.json {t}/run/results.json --labels a "
                          "--out {t}/o"),
     "duplicate_image_id": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: same}}, "

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokzip import DensityConfig, SubImageBundle, compute_density, normalize_rows, write_bundle
-from tokzip.aggregation import neighbor_groups
 from tokzip.core import CosineKeys, similarity_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,7 +49,7 @@ def copied_gaussian_keys(n=577, d=1000, seed=583):
 def test_copies_follow_the_lowest_index_rule():
     keys = copied_gaussian_keys()
     n, knn_k = keys.shape[0], 3
-    groups = neighbor_groups(CosineKeys(keys), np.arange(n), knn_k)
+    groups = CosineKeys(keys).nearest(np.arange(n), knn_k)
     # Reference: copies share one column of similarities, so they tie exactly
     # and a stable sort puts the lowest index first. Distinct Gaussian rows at
     # D=1000 are far further apart than float64 rounding.
@@ -133,7 +132,7 @@ def test_cosines_near_alpha_are_decided_exactly(case):
 def test_near_tied_neighbors_are_ordered_exactly(case):
     # Rows 1 and 2 have cosines to row 0 that differ by a few ulps at most.
     _, keys = case
-    first, second = neighbor_groups(CosineKeys(keys), [0], 2)[0].tolist()
+    first, second = CosineKeys(keys).nearest([0], 2)[0].tolist()
     gram = exact_gram(keys)
     # For one row the cosine orders as sign(a.b) (a.b)^2 / |b|^2.
     lhs = sign_square(gram[0][first]) * gram[second][second]

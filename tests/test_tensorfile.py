@@ -57,6 +57,8 @@ def test_header_is_little_endian_layout(tmp_path):
         (lambda d: d + b"\x00" * 8, "payload length"),
         (lambda d: d[:5], "shorter than"),
         (lambda d: d[:10], "truncated dims"),
+        # 65536^4 values: the product wraps to 0 in int64, matching the empty payload
+        (lambda d: d[:7] + b"\x04" + struct.pack("<4I", *[65536] * 4), "payload length"),
     ],
 )
 def test_corrupted_headers(tmp_path, mangle, msg):
