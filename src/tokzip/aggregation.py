@@ -46,8 +46,10 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     Retained rows are processed in blocks of at most BLOCK_ROWS: only the
     R x N similarities of retained rows are computed. Besides the R x D
     output and the N x D float32 unit keys, the working set is
-    O(BLOCK_ROWS * N) similarities plus a BLOCK_ROWS x (knn_k + 1) x D gather
-    of group tokens.
+    O(BLOCK_ROWS * N) similarities plus a BLOCK_ROWS x (knn_k + 1) x D
+    float64 gather of group tokens. float32 tokens stay float32 until they
+    are gathered; the upcast is exact, so the output is that of their
+    float64 upcast, bit for bit.
     """
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
@@ -80,5 +82,7 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
             total = w.sum(axis=1, keepdims=True)
             w = np.divide(w, total, out=np.full(w.shape, 1.0 / w.shape[1]), where=total > 0)
         # Batched matmul reproduces a per-row `w @ y[group]` bit for bit; einsum does not.
-        out[lo : lo + rows.size] = np.matmul(w[:, None, :], y[groups])[:, 0, :]
+        # The gather is a temporary, so it is freed before the next block's.
+        out[lo : lo + rows.size] = np.matmul(
+            w[:, None, :], y[groups].astype(np.float64, copy=False))[:, 0, :]
     return out

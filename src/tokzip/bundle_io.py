@@ -3,6 +3,11 @@
 A bundle manifest is a YAML document listing, per sub-image, the five tensor
 file paths plus grid shape and source metadata. Tensor paths are resolved
 relative to the manifest's directory.
+
+Sub-images are independent, so a document can be streamed: read_manifest
+checks the whole manifest, then load_entry, write_result and write_index
+take one sub-image at a time, as the CLI does. load_bundle and
+write_results do the same for a whole in-memory document.
 """
 
 import json
@@ -12,13 +17,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ParseError, TokzipError
+from .errors import MultipleGlobalImagesError, ParseError, TokzipError
 from .pipeline import SubImageBundle
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
 
 TENSOR_FIELDS = ("y_last", "keys_low", "attn_low", "keys_deep", "attn_deep")
+
+RESULTS_INDEX = "results.json"
 
 
 def read_yaml(path, what):
@@ -39,6 +46,14 @@ def is_file_name(name):
     return bool(name) and "/" not in name and "\0" not in name
 
 
+def _typed(entry, key, default, kind, i, where):
+    """entry[key] if it is exactly of type kind, default if absent; ParseError otherwise."""
+    value = entry.get(key, default)
+    if type(value) is not kind:
+        raise ParseError(f"subimage {i}: {key} must be a {kind.__name__}, got {value!r}", where)
+    return value
+
+
 def _int_pair(entry, key, default, low, where):
     """entry[key] as a tuple of two ints >= low, default if absent; ParseError otherwise."""
     if key not in entry:
@@ -54,7 +69,8 @@ def read_manifest(manifest_path):
     """Check all of a manifest that needs no tensor, and read none.
 
     Returns per sub-image a dict of SubImageBundle's fields: each tensor field
-    holds its resolved path, and an absent grid_shape is None.
+    holds its resolved path, and an absent grid_shape is None. At most one
+    entry is the global image.
     """
     manifest_path = Path(manifest_path)
     where = str(manifest_path)
@@ -69,40 +85,49 @@ def read_manifest(manifest_path):
         for name, path in paths.items():
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"subimage {i} needs a file path '{name}'", where)
-        image_id = str(entry.get("image_id", f"subimage_{i}"))
+        image_id = _typed(entry, "image_id", f"subimage_{i}", str, i, where)
         if not is_file_name(image_id):
             raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
         if any(e["image_id"] == image_id for e in entries):
             raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
-        is_global = entry.get("is_global", False)
-        if type(is_global) is not bool:
-            raise ParseError(f"subimage {i}: is_global must be a bool, got {is_global!r}", where)
+        is_global = _typed(entry, "is_global", False, bool, i, where)
+        if is_global and any(e["is_global"] for e in entries):
+            raise MultipleGlobalImagesError(f"{where}: subimage {i} is a second global image")
         entries.append({
             **{name: manifest_path.parent / path for name, path in paths.items()},
             "grid_shape": _int_pair(entry, "grid_shape", None, 1, where),
             "is_global": is_global,
-            "dataset": str(entry.get("dataset", "default")),
+            "dataset": _typed(entry, "dataset", "default", str, i, where),
             "image_id": image_id,
             "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, where),
         })
     return entries
 
 
+def load_entry(entry):
+    """One read_manifest entry's SubImageBundle: its tensors read and checked.
+
+    The three matrices stay float32, as read; only the attention vectors are
+    upcast, since their sums and cumsums are taken in float64. The bundle is
+    built from a copy of entry, so the list of entries holds no tensor.
+    """
+    fields = dict(entry)
+    for name in TENSOR_FIELDS:
+        fields[name] = read_tensor(entry[name])
+    for name in ("attn_low", "attn_deep"):
+        fields[name] = fields[name].astype(np.float64)
+        total = float(fields[name].sum())
+        if ATTENTION_SUM_WARN_TOL < abs(total - 1.0) < np.inf:  # NaN and inf are errors
+            warnings.warn(f"{entry['image_id']}: {name}: attention sums to {total:.6g}, "
+                          "not 1; it will be renormalized where needed", stacklevel=2)
+    y = fields["y_last"]
+    fields["grid_shape"] = entry["grid_shape"] or (1, len(y) if y.ndim else 0)
+    return SubImageBundle(**fields)
+
+
 def load_bundle(manifest_path):
-    """read_manifest, then each entry's tensors as float64, checked by SubImageBundle."""
-    bundles = []
-    for entry in read_manifest(manifest_path):
-        for name in TENSOR_FIELDS:
-            entry[name] = read_tensor(entry[name]).astype(np.float64)
-        for name in ("attn_low", "attn_deep"):
-            total = float(entry[name].sum())
-            if ATTENTION_SUM_WARN_TOL < abs(total - 1.0) < np.inf:  # NaN and inf are errors
-                warnings.warn(f"{entry['image_id']}: {name}: attention sums to {total:.6g}, "
-                              "not 1; it will be renormalized where needed", stacklevel=2)
-        y = entry["y_last"]
-        entry["grid_shape"] = entry["grid_shape"] or (1, len(y) if y.ndim else 0)
-        bundles.append(SubImageBundle(**entry))
-    return bundles
+    """read_manifest, then every entry's bundle as load_entry builds it."""
+    return [load_entry(entry) for entry in read_manifest(manifest_path)]
 
 
 def file_stems(bundles):
@@ -149,43 +174,64 @@ def _json_dump(path, obj):
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_results(out_dir, bundles, results, config_meta):
-    """Serialize compression results: one tensor + metadata blob per sub-image.
+def open_results(out_dir):
+    """Make out_dir and remove the results index an earlier run left in it.
+
+    The index is written last, so a run that fails part way leaves none:
+    never one that lists a mix of old and new files.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / RESULTS_INDEX).unlink(missing_ok=True)
+    return out_dir
+
+
+def write_result(out_dir, stem, bundle, res, config_meta):
+    """Write one sub-image's tokens and metadata as <stem>_*; returns its index entry.
 
     Stable key ordering and no timestamps, so identical runs produce
     byte-identical output trees.
     """
+    tokens_file = f"{stem}_compressed.tkzt"
+    write_tensor(out_dir / tokens_file, res.compressed_tokens)
+    meta = {
+        "image_id": stem,
+        "dataset": bundle.dataset,
+        "grid_shape": list(bundle.grid_shape),
+        "is_global_passthrough": res.is_global_passthrough,
+        "n_original": res.n_original,
+        "n_retained": int(res.retained_indices.size),
+        "ratio": res.ratio,
+        "retained_indices": [int(x) for x in res.retained_indices],
+        "branch_provenance": list(res.branch_provenance),
+        "branch_counts": res.provenance_counts(),
+        "tokens_file": tokens_file,
+        "config": config_meta,
+    }
+    if res.density_report is not None:
+        meta["density"] = res.density_report.density
+        meta["redundancy"] = res.density_report.redundancy
+        meta["n_redundant"] = res.density_report.n_redundant
+        meta["redundant_mask"] = [bool(x) for x in res.density_report.redundant_mask]
+    meta_file = f"{stem}_meta.json"
+    _json_dump(out_dir / meta_file, meta)
+    return {"image_id": stem, "meta": meta_file, "tokens": tokens_file}
+
+
+def write_index(out_dir, index, config_meta):
+    """Write the results index over write_result's entries, last; returns its path."""
+    path = Path(out_dir) / RESULTS_INDEX
+    _json_dump(path, {"config": config_meta, "subimages": index})
+    return path
+
+
+def write_results(out_dir, bundles, results, config_meta):
+    """Serialize a document's compression results: write_result per sub-image, then the index."""
     stems = file_stems(bundles)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index = []
-    for stem, bundle, res in zip(stems, bundles, results):
-        tokens_file = f"{stem}_compressed.tkzt"
-        write_tensor(out_dir / tokens_file, res.compressed_tokens)
-        meta = {
-            "image_id": stem,
-            "dataset": bundle.dataset,
-            "grid_shape": list(bundle.grid_shape),
-            "is_global_passthrough": res.is_global_passthrough,
-            "n_original": res.n_original,
-            "n_retained": int(res.retained_indices.size),
-            "ratio": res.ratio,
-            "retained_indices": [int(x) for x in res.retained_indices],
-            "branch_provenance": list(res.branch_provenance),
-            "branch_counts": res.provenance_counts(),
-            "tokens_file": tokens_file,
-            "config": config_meta,
-        }
-        if res.density_report is not None:
-            meta["density"] = res.density_report.density
-            meta["redundancy"] = res.density_report.redundancy
-            meta["n_redundant"] = res.density_report.n_redundant
-            meta["redundant_mask"] = [bool(x) for x in res.density_report.redundant_mask]
-        meta_file = f"{stem}_meta.json"
-        _json_dump(out_dir / meta_file, meta)
-        index.append({"image_id": stem, "meta": meta_file, "tokens": tokens_file})
-    _json_dump(out_dir / "results.json", {"config": config_meta, "subimages": index})
-    return out_dir / "results.json"
+    out_dir = open_results(out_dir)
+    index = [write_result(out_dir, stem, bundle, res, config_meta)
+             for stem, bundle, res in zip(stems, bundles, results)]
+    return write_index(out_dir, index, config_meta)
 
 
 def _read_json_mapping(path, what):

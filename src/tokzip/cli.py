@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .aggregation import AggregationConfig
 from .bundle_io import (
-    _json_dump, is_file_name, load_bundle, load_results, read_manifest, read_yaml, write_results,
+    _json_dump, is_file_name, load_entry, load_results, open_results, read_manifest, read_yaml,
+    write_index, write_result,
 )
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError
@@ -60,20 +61,38 @@ def _config_meta(density_cfg, selection_cfg, agg_cfg, extra=None):
     return meta
 
 
-def _cmd_compress(args):
-    density_cfg, selection_cfg, agg_cfg = _load_config(args.config, args.seed)
-    bundles = load_bundle(args.manifest)
-    results = compress_document(bundles, density_cfg, selection_cfg, agg_cfg)
-    write_results(args.out, bundles, results, _config_meta(density_cfg, selection_cfg, agg_cfg))
-    for bundle, res in zip(bundles, results):
-        if res.is_global_passthrough:
-            print(f"{bundle.image_id}: global image, passed through ({res.n_original} tokens)")
-        else:
-            print(
-                f"{bundle.image_id}: d={res.density_report.density:.4f} "
-                f"ratio={res.ratio:.4f} ({res.retained_indices.size}/{res.n_original})"
-            )
+def _compress_manifest(args, configs, config_meta, describe, select=None):
+    """Load, compress, write and drop one sub-image at a time; the index comes last.
+
+    read_manifest checks the whole manifest before any tensor is read, and
+    open_results removes a stale index first, so a run that fails part way
+    leaves no results.json. compress_document seeds every bundle afresh, so
+    one call per bundle gives the bytes of one call over the document.
+    `describe(bundle, res)` is the line printed per sub-image.
+    """
+    entries = read_manifest(args.manifest)
+    out = open_results(args.out)
+    index = []
+    for entry in entries:
+        bundle = load_entry(entry)
+        res = compress_document([bundle], *configs, select)[0]
+        index.append(write_result(out, bundle.image_id, bundle, res, config_meta))
+        print(describe(bundle, res))
+        del bundle, res  # so the next sub-image loads with none of this one alive
+    write_index(out, index, config_meta)
     return 0
+
+
+def _cmd_compress(args):
+    configs = _load_config(args.config, args.seed)
+
+    def describe(bundle, res):
+        if res.is_global_passthrough:
+            return f"{bundle.image_id}: global image, passed through ({res.n_original} tokens)"
+        return (f"{bundle.image_id}: d={res.density_report.density:.4f} "
+                f"ratio={res.ratio:.4f} ({res.retained_indices.size}/{res.n_original})")
+
+    return _compress_manifest(args, configs, _config_meta(*configs), describe)
 
 
 def _cmd_density(args):
@@ -81,14 +100,16 @@ def _cmd_density(args):
         cfg = DensityConfig(alpha=args.alpha, limit_k=args.limit_k)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    bundles = load_bundle(args.manifest)
+    entries = read_manifest(args.manifest)
     print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
-    for b in bundles:
+    for entry in entries:
+        b = load_entry(entry)
         rep = compute_density(b.keys_low, cfg)
         print(
             f"{b.image_id:<24} {b.n_tokens:>6} {rep.n_redundant:>6} "
             f"{rep.redundancy:>11.4f} {rep.density:>9.4f}"
         )
+        del b, rep  # drop it before the next sub-image is loaded
     return 0
 
 
@@ -170,16 +191,12 @@ def _cmd_masks(args):
 def _cmd_baseline(args):
     if args.method == "fixed" and (args.ratio is None or not 0.0 <= args.ratio <= 1.0):
         raise UsageError("baseline --method fixed needs --ratio in [0, 1]")
-    density_cfg, selection_cfg, agg_cfg = _load_config(None, args.seed)
+    configs = _load_config(None, args.seed)
     select = functools.partial(baseline_select, args.method, ratio=args.ratio)
-    bundles = load_bundle(args.manifest)
-    results = compress_document(bundles, density_cfg, selection_cfg, agg_cfg, select)
-    meta = _config_meta(density_cfg, selection_cfg, agg_cfg,
-                        {"baseline_method": args.method, "baseline_ratio": args.ratio})
-    write_results(args.out, bundles, results, meta)
-    for bundle, res in zip(bundles, results):
-        print(f"{bundle.image_id}: ratio={res.ratio:.4f}")
-    return 0
+    meta = _config_meta(*configs, {"baseline_method": args.method, "baseline_ratio": args.ratio})
+    return _compress_manifest(args, configs, meta,
+                              lambda bundle, res: f"{bundle.image_id}: ratio={res.ratio:.4f}",
+                              select)
 
 
 def _cmd_selftest(args):

@@ -24,9 +24,14 @@ ZERO_NORM_EPS = 1e-12
 BLOCK_ROWS = 256
 
 
-def as_matrix(a, name="matrix", dtype=np.float64):
-    """Coerce to a 2-D array of `dtype` without copying when already compliant."""
-    arr = np.asarray(a, dtype=dtype)
+def as_matrix(a, name="matrix"):
+    """Coerce to a 2-D float array without copying when already compliant.
+
+    float32 stays float32, the precision of tensors at rest; the kernels
+    upcast it per block. Any other dtype becomes float64.
+    """
+    arr = np.asarray(a)
+    arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
@@ -62,14 +67,19 @@ def check_attention_vector(scores, name="attention"):
 def key_row_norms(keys, name="key"):
     """Row norms of a key matrix, each finite and at least ZERO_NORM_EPS: the key-row rule.
 
-    A NaN or inf entry, or an overflow, raises NonFiniteValueError. A zero key
-    has no direction, so cosine similarity against it is undefined: ZeroRowError.
+    Squares are summed in float64, BLOCK_ROWS rows at a time, so float32 keys
+    give the same norms as their float64 upcast. A NaN or inf entry, or an
+    overflow, raises NonFiniteValueError. A zero key has no direction, so
+    cosine similarity against it is undefined: ZeroRowError.
     """
     k = as_matrix(keys, name)
     if k.shape[0] == 0:
         raise DimensionMismatchError(f"{name} matrix has no rows")
+    norms = np.empty(k.shape[0])
     with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
-        norms = np.sqrt(np.einsum("ij,ij->i", k, k))
+        for lo in range(0, k.shape[0], BLOCK_ROWS):
+            block = k[lo : lo + BLOCK_ROWS].astype(np.float64, copy=False)
+            norms[lo : lo + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", block, block))
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise NonFiniteValueError(f"{name} row {int(bad[0])} has a non-finite norm")
@@ -91,13 +101,8 @@ def similarity_matrix(a, b=None):
     float32 operands stay float32 (the filter GEMM of CosineKeys); any other
     input is computed in float64. It is the only GEMM entry point.
     """
-
-    def operand(x):
-        x = np.asarray(x)
-        return as_matrix(x, dtype=np.float32 if x.dtype == np.float32 else np.float64)
-
-    a = operand(a)
-    b = a if b is None else operand(b)
+    a = as_matrix(a)
+    b = a if b is None else as_matrix(b)
     if a.size == 0 or b.size == 0:
         raise DimensionMismatchError("cannot build a similarity matrix from an empty matrix")
     if a.shape[1] != b.shape[1]:
@@ -161,7 +166,9 @@ def _integer_rows(k):
     Each entry is an odd integer times a power of two; a row is scaled so its
     smallest power is 1. The result is int64 when every dot product of two
     rows fits in it (small integers, as in lattice keys), else Python ints.
+    float32 rows are upcast first, exactly.
     """
+    k = np.asarray(k, dtype=np.float64)
     mantissa, exponent = np.frexp(k)  # k = mantissa * 2**exponent, 53-bit mantissa
     ints = (mantissa * 2.0**53).astype(np.int64)
     low = ints & -ints  # the lowest set bit, 0 for a zero entry
@@ -177,7 +184,8 @@ def _integer_rows(k):
 class CosineKeys:
     """Key rows prepared for decisions on their exact cosines: `similar` and `nearest`.
 
-    keys:  the rows as given, float64, checked by key_row_norms
+    keys:  the rows as given, float32 or float64, checked by key_row_norms;
+           the exact tiers upcast only the rows they gather
     norms: their float64 norms
     unit:  the unit rows, divided in float64 block by block and cast once
            to float32: the operand of the filter GEMM. Keys are not cast
@@ -262,7 +270,10 @@ class CosineKeys:
         return groups
 
     def cosines(self, i, j):
-        """float64 cosines of the row pairs (i[t], j[t]), each within eps64 of exact."""
+        """float64 cosines of the row pairs (i[t], j[t]), each within eps64 of exact.
+
+        Dividing by the float64 norms upcasts float32 rows, exactly.
+        """
         a = self.keys[i] / self.norms[i, None]
         b = self.keys[j] / self.norms[j, None]
         return np.einsum("ij,ij->i", a, b)

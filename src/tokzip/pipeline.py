@@ -38,9 +38,11 @@ class SubImageBundle:
     keys_deep: deep-layer attention keys (aggregation similarity)
     attn_deep: deep-layer CLS attention (global branch + merge weights)
 
-    Checked once, when built, whether read from disk or made in memory;
-    derive a changed copy with dataclasses.replace. Errors name the image_id
-    and the field.
+    The three matrices are float32, as load_bundle leaves them, or float64;
+    the kernels upcast float32 per block. Checked once, when built, whether
+    read from disk or made in memory, without a float64 copy of a float32
+    matrix; derive a changed copy with dataclasses.replace. Errors name the
+    image_id and the field.
     """
 
     y_last: np.ndarray
@@ -146,7 +148,7 @@ def compress_document(
     return [
         CompressionResult(
             retained_indices=np.arange(b.n_tokens, dtype=np.intp),
-            compressed_tokens=as_matrix(b.y_last).copy(),
+            compressed_tokens=np.array(b.y_last, dtype=np.float64),
             density_report=None,
             branch_provenance=[],
             n_original=b.n_tokens,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -145,15 +146,30 @@ def test_error_exit_code(tmp_path, capsys):
 # A manifest entry for the fixture's sub_a tensors, seen from tmp_path.
 SUB_A = ", ".join(f"{name}: bundle/sub_a_{name}.tkzt" for name in TENSOR_FIELDS)
 ONE_META = '{"subimages": [{"meta": "m.json", "tokens": "t.tkzt"}]}'
+
+
+def _entry(stem, **fields):
+    """A manifest entry, in YAML flow style, for the fixture's files of `stem`."""
+    values = {**{name: f"bundle/{stem}_{name}.tkzt" for name in TENSOR_FIELDS},
+              "image_id": stem, **fields}
+    return "{" + ", ".join(f"{key}: {value}" for key, value in values.items()) + "}"
+
+
+# The fixture's document, but the last tensor of its last entry is not a tensor file.
+LAST_TENSOR_BAD = (f"subimages: [{_entry('sub_a')}, {_entry('sub_b')}, "
+                   f"{_entry('global', is_global='true', attn_deep='bad.tkzt')}]\n")
+
 # A passed-through global image has no mask to check the grid against: N is its index count.
 HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch_provenance": [], '
                   '"grid_shape": [3000000, 300000], "retained_indices": [0, 1, 2, 3]}')
 
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
-# except image_id_with_slash and labels_not_file_name, which wrote output outside --out, and
-# five that exited 0: two sub-images with one id shared one set of output files, an empty id
+# except image_id_with_slash and labels_not_file_name, which wrote output outside --out,
+# last_tensor_in_last_entry, which left the earlier run's results.json in --out, and eight
+# that exited 0: two sub-images with one id shared one set of output files, an empty id
 # was replaced by the entry's position, a non-finite iqr_factor switched the global branch
-# off, and a quoted is_global 'false' passed its crop through uncompressed.
+# off, a quoted is_global 'false' passed its crop through uncompressed, a dataset or an
+# image_id that was not a string was turned into one, and density read two global images.
 # masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
@@ -191,6 +207,15 @@ BAD_INPUTS = {
     "selftest_negative_seed": ({}, "selftest --seed -1"),
     "is_global_string": ({"m.yaml": f"subimages: [{{{SUB_A}, is_global: 'false'}}]\n"},
                          "compress --manifest {t}/m.yaml --out {t}/o"),
+    "dataset_not_string": ({"m.yaml": f"subimages: [{{{SUB_A}, dataset: [x, y]}}]\n"},
+                           "compress --manifest {t}/m.yaml --out {t}/o"),
+    "image_id_not_string": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: 7}}]\n"},
+                            "compress --manifest {t}/m.yaml --out {t}/o"),
+    "two_global_images": ({"m.yaml": f"subimages: [{_entry('sub_a', is_global='true')}, "
+                                     f"{_entry('global', is_global='true')}]\n"},
+                          "density --manifest {t}/m.yaml"),
+    "last_tensor_in_last_entry": ({"m.yaml": LAST_TENSOR_BAD, "bad.tkzt": "not a tensor"},
+                                  "compress --manifest {t}/m.yaml --out {t}/run"),
     "labels_count": ({}, "stats --results {t}/run/results.json {t}/run/results.json --labels a "
                          "--out {t}/o"),
     "duplicate_image_id": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: same}}, "
@@ -224,6 +249,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert "'alpah'" in err
     if case == "labels_not_file_name":
         assert not list(tmp_path.glob("escaped*"))
+    if case == "last_tensor_in_last_entry":  # the good run's index would list new and old files
+        assert not (tmp_path / "run" / "results.json").exists()
 
 
 def test_warning_is_one_line(manifest, tmp_path, capsys):
@@ -284,3 +311,17 @@ def test_baseline_shares_the_compression_path(method, ratio, redundant_manifest,
         assert meta["n_redundant"] == report.n_redundant
         assert meta["redundant_mask"] == report.redundant_mask.tolist()
     assert metas[2]["is_global_passthrough"]
+
+
+def test_compress_holds_one_sub_image_at_a_time(manifest, tmp_path, monkeypatch):
+    compressed = []  # a weak reference to each bundle compress_subimage was given
+    real = tokzip.pipeline.compress_subimage
+
+    def tracking(bundle, *args):
+        compressed.append(weakref.ref(bundle))
+        assert [ref() is not None for ref in compressed] == [False] * (len(compressed) - 1) + [True]
+        return real(bundle, *args)
+
+    monkeypatch.setattr(tokzip.pipeline, "compress_subimage", tracking)
+    assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
+    assert len(compressed) == 2

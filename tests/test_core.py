@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokzip import normalize_rows, quantile, similarity_matrix
+from tokzip import SubImageBundle, normalize_rows, quantile, similarity_matrix
+from tokzip.core import BLOCK_ROWS, CosineKeys, key_row_norms
 from tokzip.errors import DimensionMismatchError, EmptyInputError, ZeroRowError
 
 
@@ -123,3 +125,29 @@ class TestQuantile:
         lo, hi = sorted((q1, q2))
         assert quantile(values, lo) <= quantile(values, hi)
         assert quantile(values, q1) == pytest.approx(self._oracle(values, q1), abs=1e-9)
+
+
+def test_key_row_norms_are_the_same_on_float32_and_its_upcast(rng):
+    keys = (rng.standard_normal((2 * BLOCK_ROWS + 37, 33)) * 1e3).astype(np.float32)
+    up = keys.astype(np.float64)
+    unblocked = np.sqrt(np.einsum("ij,ij->i", up, up))
+    assert key_row_norms(keys).tobytes() == key_row_norms(up).tobytes() == unblocked.tobytes()
+
+
+def test_float32_keys_get_no_float64_copy(rng):
+    n, d = 2048, 64
+    keys = rng.standard_normal((n, d)).astype(np.float32)
+    attn = np.full(n, 1.0 / n)
+    float64_copy = n * d * 8
+    tracemalloc.start()
+    try:
+        SubImageBundle(y_last=keys, keys_low=keys, attn_low=attn, keys_deep=keys,
+                       attn_deep=attn, grid_shape=(32, 64))
+        bundle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        CosineKeys(keys)  # holds n x d float32 unit rows: half a float64 copy
+        keys_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bundle_peak < float64_copy / 2
+    assert keys_peak < float64_copy * 3 / 4

@@ -1,5 +1,6 @@
 """Decisions on the exact cosine: the float32 filter, its bound and the exact tiers."""
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokzip import DensityConfig, SubImageBundle, compute_density, normalize_rows, write_bundle
+from tokzip import (
+    DensityConfig,
+    SubImageBundle,
+    compress_document,
+    compute_density,
+    normalize_rows,
+    write_bundle,
+)
 from tokzip.core import CosineKeys, similarity_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -168,3 +176,43 @@ def test_filter_and_recheck_stay_within_their_bounds(d):
         for value, eps in ((float(sim[i[t], j[t]]), ck.eps), (float(cos64[t]), ck.eps64)):
             assert cosine_compare(gram, i[t], j[t], Fraction(value) + Fraction(eps)) <= 0
             assert cosine_compare(gram, i[t], j[t], Fraction(value) - Fraction(eps)) >= 0
+
+
+@pytest.mark.parametrize("kind", ["copies", "lattice"])
+def test_float32_bundle_compresses_as_its_float64_upcast(kind, lattice_keys, monkeypatch):
+    # Both key sets reach the exact tiers: copies tie in the k-NN order, and
+    # lattice cosines sit exactly on alpha = 0.5.
+    rng = np.random.default_rng(5)
+    keys = copied_gaussian_keys() if kind == "copies" else lattice_keys(rng, 300)
+    cfg = DensityConfig() if kind == "copies" else DensityConfig(alpha=0.5, limit_k=3)
+    n, d = keys.shape
+    crop = SubImageBundle(
+        y_last=rng.standard_normal((n, d)).astype(np.float32),
+        keys_low=keys.astype(np.float32),
+        attn_low=rng.uniform(0.1, 1.0, n),
+        keys_deep=keys[::-1].astype(np.float32),
+        attn_deep=rng.uniform(0.1, 1.0, n),
+        grid_shape=(1, n),
+    )
+    document = [crop, dataclasses.replace(crop, is_global=True)]
+    upcast = [dataclasses.replace(b, **{name: getattr(b, name).astype(np.float64)
+                                        for name in ("y_last", "keys_low", "keys_deep")})
+              for b in document]
+    exact_tier = []
+    for name in ("_exceeds", "_exact_order"):
+        def counting(self, *args, _real=getattr(CosineKeys, name), _name=name):
+            exact_tier.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(CosineKeys, name, counting)
+    got = compress_document(document, cfg)
+    assert set(exact_tier) == ({"_exact_order"} if kind == "copies" else
+                               {"_exceeds", "_exact_order"})
+    for a, b in zip(got, compress_document(upcast, cfg)):
+        assert a.compressed_tokens.dtype == b.compressed_tokens.dtype == np.float64
+        assert a.compressed_tokens.tobytes() == b.compressed_tokens.tobytes()
+        assert a.retained_indices.tolist() == b.retained_indices.tolist()
+        assert a.branch_provenance == b.branch_provenance
+        assert (a.density_report is None) == (b.density_report is None)
+        if a.density_report is not None:
+            assert a.density_report.redundant_mask.tolist() == b.density_report.redundant_mask.tolist()
