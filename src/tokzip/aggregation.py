@@ -41,7 +41,8 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
 
     Returns a |retained| x D matrix, rows ordered by ascending retained index.
     Neighbors are drawn from all N tokens; groups may overlap. Ties in
-    similarity break toward the lowest index.
+    similarity break toward the lowest index. `keys_deep` is a key matrix,
+    or the CosineKeys prepared from one.
 
     Retained rows are processed in blocks of at most BLOCK_ROWS: only the
     R x N similarities of retained rows are computed. Besides the R x D
@@ -59,19 +60,18 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
         raise EmptyRetentionError("retained index set is empty")
     if retained[0] < 0 or retained[-1] >= n:
         raise IndexError(f"retained indices out of range [0, {n})")
-    k = as_matrix(keys_deep, "keys_deep")
-    if k.shape[0] != n or weights_full.size != n:
+    keys = keys_deep if isinstance(keys_deep, CosineKeys) else CosineKeys(keys_deep)
+    if keys.keys.shape[0] != n or weights_full.size != n:
         raise DimensionMismatchError(f"tokens, keys_deep and attn_deep have {n}, "
-                                     f"{k.shape[0]} and {weights_full.size} rows")
+                                     f"{keys.keys.shape[0]} and {weights_full.size} rows")
     if cfg.knn_k > n - 1:
         raise NeighborCountExceedsTokensError(
             f"knn_k={cfg.knn_k} but only {n - 1} candidate neighbors exist"
         )
 
-    # The output outlives the unit rows, so it is allocated first: the other
-    # order raises the process's peak RSS.
+    # The output outlives the unit rows that `nearest` builds, so it is
+    # allocated first: the other order raises the process's peak RSS.
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
-    keys = CosineKeys(k)
     for lo in range(0, retained.size, BLOCK_ROWS):
         rows = retained[lo : lo + BLOCK_ROWS]
         groups = keys.nearest(rows, cfg.knn_k)

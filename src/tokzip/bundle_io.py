@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .errors import MultipleGlobalImagesError, ParseError, TokzipError
-from .pipeline import SubImageBundle
+from .pipeline import SubImageBundle, is_int_pair
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -54,14 +54,13 @@ def _typed(entry, key, default, kind, i, where):
     return value
 
 
-def _int_pair(entry, key, default, low, where):
+def _int_pair(entry, key, default, low, i, where):
     """entry[key] as a tuple of two ints >= low, default if absent; ParseError otherwise."""
     if key not in entry:
         return default
     value = entry[key]
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(type(v) is int and v >= low for v in value)):
-        raise ParseError(f"{key} must be two integers >= {low}, got {value!r}", where)
+    if not is_int_pair(value, low):
+        raise ParseError(f"subimage {i}: {key} must be two integers >= {low}, got {value!r}", where)
     return tuple(value)
 
 
@@ -95,11 +94,11 @@ def read_manifest(manifest_path):
             raise MultipleGlobalImagesError(f"{where}: subimage {i} is a second global image")
         entries.append({
             **{name: manifest_path.parent / path for name, path in paths.items()},
-            "grid_shape": _int_pair(entry, "grid_shape", None, 1, where),
+            "grid_shape": _int_pair(entry, "grid_shape", None, 1, i, where),
             "is_global": is_global,
             "dataset": _typed(entry, "dataset", "default", str, i, where),
             "image_id": image_id,
-            "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, where),
+            "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, i, where),
         })
     return entries
 

@@ -12,11 +12,12 @@ from .bundle_io import (
     _json_dump, is_file_name, load_entry, load_results, open_results, read_manifest, read_yaml,
     write_index, write_result,
 )
+from .core import CosineKeys
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError
 from .harness import baseline_select, oracle_suite
-from .masks import PROVENANCE_LEVEL, render_masks
-from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats
+from .masks import MAX_SCALE, PROVENANCE_LEVEL, render_masks
+from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats, is_int_pair
 from .selection import SelectionConfig
 
 
@@ -49,16 +50,14 @@ def _load_config(path, seed_override=None):
 
 
 def _config_meta(density_cfg, selection_cfg, agg_cfg, extra=None):
-    meta = {
+    return {
         "density": dataclasses.asdict(density_cfg),
         "selection": dataclasses.asdict(selection_cfg),
         "aggregation": dataclasses.asdict(agg_cfg),
         "quantile_method": "linear-interpolation (type 7)",
         "per_bundle_seeding": "every bundle draws from a fresh generator at selection.seed",
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _compress_manifest(args, configs, config_meta, describe, select=None):
@@ -104,7 +103,7 @@ def _cmd_density(args):
     print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
     for entry in entries:
         b = load_entry(entry)
-        rep = compute_density(b.keys_low, cfg)
+        rep = compute_density(CosineKeys(b.keys_low, b.norms_low), cfg)
         print(
             f"{b.image_id:<24} {b.n_tokens:>6} {rep.n_redundant:>6} "
             f"{rep.redundancy:>11.4f} {rep.density:>9.4f}"
@@ -158,8 +157,8 @@ def _meta_list(meta, key, valid, where):
 
 
 def _cmd_masks(args):
-    if args.scale < 1:
-        raise UsageError(f"--scale must be >= 1, got {args.scale}")
+    if not 1 <= args.scale <= MAX_SCALE:
+        raise UsageError(f"--scale must be in [1, {MAX_SCALE}], got {args.scale}")
     known = {entry["image_id"] for entry in read_manifest(args.manifest)}
     out, where = Path(args.out), args.results
     out.mkdir(parents=True, exist_ok=True)
@@ -177,9 +176,9 @@ def _cmd_masks(args):
                               lambda i: type(i) is int and 0 <= i < n, where)
         tags = _meta_list(meta, "branch_provenance",
                           lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, where)
-        grid = _meta_list(meta, "grid_shape", lambda v: type(v) is int and v >= 1, where)
-        if len(grid) != 2 or grid[0] * grid[1] != n:
-            raise ParseError(f"{image_id!r}: grid_shape {grid} does not tile {n} tokens", where)
+        grid = meta.get("grid_shape")
+        if not is_int_pair(grid, 1) or grid[0] * grid[1] != n:
+            raise ParseError(f"{image_id!r}: grid_shape {grid!r} does not tile {n} tokens", where)
         if not passthrough and len(tags) != len(retained):
             raise ParseError(f"{image_id!r}: {len(retained)} indices but {len(tags)} tags", where)
         red, sel = render_masks(grid, retained, tags, mask, passthrough, out / image_id,

@@ -10,7 +10,7 @@ integer comparison for those still open.
 """
 
 import math
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import numpy as np
 
@@ -186,26 +186,30 @@ class CosineKeys:
 
     keys:  the rows as given, float32 or float64, checked by key_row_norms;
            the exact tiers upcast only the rows they gather
-    norms: their float64 norms
+    norms: their float64 norms, key_row_norms(keys) unless given (a
+           SubImageBundle keeps those its check computed)
     unit:  the unit rows, divided in float64 block by block and cast once
-           to float32: the operand of the filter GEMM. Keys are not cast
-           first: entries beyond about 3.4e38 would overflow.
+           to float32, on first use: the operand of the filter GEMM. Keys are
+           not cast first: entries beyond about 3.4e38 would overflow.
     eps:   cosine_error_bound in float32: a float32 similarity of two unit
            rows is within eps of their exact cosine
     eps64: the same bound for `cosines`
     """
 
-    def __init__(self, keys):
+    def __init__(self, keys, norms=None):
         self.keys = as_matrix(keys, "key")
-        self.norms = key_row_norms(self.keys)
-        n, d = self.keys.shape
-        self.unit = np.empty((n, d), dtype=np.float32)
-        for lo in range(0, n, BLOCK_ROWS):
+        self.norms = key_row_norms(self.keys) if norms is None else norms
+        self.eps = cosine_error_bound(self.keys.shape[1], "float32")
+        self.eps64 = cosine_error_bound(self.keys.shape[1], "float64")
+
+    @cached_property
+    def unit(self):
+        unit = np.empty(self.keys.shape, dtype=np.float32)
+        for lo in range(0, len(unit), BLOCK_ROWS):
             block = slice(lo, lo + BLOCK_ROWS)  # divided in float64, then cast
-            np.divide(self.keys[block], self.norms[block, None], out=self.unit[block],
+            np.divide(self.keys[block], self.norms[block, None], out=unit[block],
                       casting="same_kind")
-        self.eps = cosine_error_bound(d, "float32")
-        self.eps64 = cosine_error_bound(d, "float64")
+        return unit
 
     def similar(self, lo, hi, alpha):
         """Exact `cosine > alpha` of rows lo:hi against rows lo:, as a bool block.

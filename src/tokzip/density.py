@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CosineKeys, as_matrix
+from .core import BLOCK_ROWS, CosineKeys
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,22 @@ def compute_density(keys, cfg=DensityConfig()):
 
     Comparisons are strict ("> alpha", "> limit_k") exactly as stated, on the
     exact cosine of the key rows: CosineKeys.similar decides each block.
+    `keys` is a key matrix, or the CosineKeys prepared from one.
 
     Similarity is symmetric, so only the upper block triangle is computed:
     each block of at most BLOCK_ROWS rows is compared with itself and every
     later token, and its counts go to its rows and, transposed, to the later
     columns. No N x N matrix is formed; the working set is O(BLOCK_ROWS * N).
     """
-    k = as_matrix(keys, "key")
-    n = k.shape[0]
-    # The counts and the mask outlive the unit rows, so they are allocated
-    # first: the other order raises the process's peak RSS.
+    keys = keys if isinstance(keys, CosineKeys) else CosineKeys(keys)
+    n = keys.keys.shape[0]
+    # The counts and the mask outlive the unit rows that `similar` builds, so
+    # they are allocated first: the other order raises the process's peak RSS.
     peer_counts = np.zeros(n, dtype=np.intp)
     redundant = np.empty(n, dtype=bool)
-    ck = CosineKeys(k)
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        similar = ck.similar(lo, hi, cfg.alpha)
+        similar = keys.similar(lo, hi, cfg.alpha)
         if not cfg.count_self:
             diag = np.arange(hi - lo)
             similar[diag, diag] = False

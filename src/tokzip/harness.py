@@ -8,6 +8,7 @@ unique vectors, so the expected information density is known by construction.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,10 +313,7 @@ def first_draw_frequency(weights, index, trials, seed=0):
     cfg = SelectionConfig(seed=seed)
     rng = np.random.default_rng(seed)
     attn = np.asarray(weights, dtype=np.float64)
-    hits = 0
-    for _ in range(trials):
-        if local_select(attn, 1, cfg, rng=rng)[0] == index:
-            hits += 1
+    hits = sum(int(local_select(attn, 1, cfg, rng=rng)[0] == index) for _ in range(trials))
     return hits / trials
 
 
@@ -343,18 +341,13 @@ def uniform_subset_chisquare(n, m, trials, seed=0):
     cfg = SelectionConfig(seed=seed)
     rng = np.random.default_rng(seed)
     attn = np.full(n, 1.0 / n)
-    counts = {}
-    for _ in range(trials):
-        key = tuple(local_select(attn, m, cfg, rng=rng).tolist())
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(tuple(local_select(attn, m, cfg, rng=rng).tolist()) for _ in range(trials))
     n_subsets = math.comb(n, m)
     observed = np.zeros(n_subsets)
-    for i, c in enumerate(counts.values()):
-        observed[i] = c
+    observed[: len(counts)] = list(counts.values())
     expected = trials / n_subsets
     chi2 = float(((observed - expected) ** 2 / expected).sum())
-    pvalue = chi2_sf(chi2, n_subsets - 1)
-    return chi2, pvalue
+    return chi2, chi2_sf(chi2, n_subsets - 1)
 
 
 def _sampling_checks(seed, first_draw_trials, subset_trials):

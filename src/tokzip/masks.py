@@ -16,6 +16,9 @@ LEVEL_DROPPED = 0
 LEVEL_LOCAL = 128
 LEVEL_GLOBAL = 255
 
+# The largest scale: a 48 x 48 grid becomes a 3072 x 3072 raster, about 37 MB of text.
+MAX_SCALE = 64
+
 PROVENANCE_LEVEL = {
     "global": LEVEL_GLOBAL,
     "both": LEVEL_GLOBAL,
@@ -29,8 +32,8 @@ def write_pgm(path, grid, scale=1):
     g = np.asarray(grid, dtype=np.uint8)
     if g.ndim != 2:
         raise ValueError("grid must be 2-D")
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    if not 1 <= scale <= MAX_SCALE:
+        raise ValueError(f"scale must be in [1, {MAX_SCALE}]")
     g = np.repeat(np.repeat(g, scale, axis=0), scale, axis=1)
     lines = ["P2", f"{g.shape[1]} {g.shape[0]}", "255"]
     lines += [" ".join(map(str, row)) for row in g.tolist()]

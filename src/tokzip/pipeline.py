@@ -6,19 +6,15 @@ sampling on the low-layer attention, index merge, then neighbor aggregation.
 The resized global image is never compressed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregation import AggregationConfig, aggregate
-from .core import as_matrix, check_attention_vector, check_finite, key_row_norms, quantile
+from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, key_row_norms, quantile
 from .density import DensityConfig, DensityReport, compute_density
-from .errors import (
-    DimensionMismatchError,
-    EmptyCorpusError,
-    GlobalImageRejectedError,
-    MultipleGlobalImagesError,
-)
+from .errors import (DimensionMismatchError, EmptyCorpusError, GlobalImageRejectedError,
+                     MultipleGlobalImagesError, TokzipError)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -26,6 +22,12 @@ HIST_BINS = 20
 
 # Which branch kept a retained token, indexed by in_global + 2 * in_local.
 BRANCH_TAGS = ("fallback", "global", "local", "both")
+
+
+def is_int_pair(value, low):
+    """The grid_shape (low 1) and crop_position (low 0) rule: two ints, not bools, each >= low."""
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(v) is int and v >= low for v in value))
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,8 @@ class SubImageBundle:
     the kernels upcast float32 per block. Checked once, when built, whether
     read from disk or made in memory, without a float64 copy of a float32
     matrix; derive a changed copy with dataclasses.replace. Errors name the
-    image_id and the field.
+    image_id and the field. The check keeps the float64 key row norms it
+    computes as norms_low and norms_deep, from which CosineKeys start.
     """
 
     y_last: np.ndarray
@@ -55,6 +58,8 @@ class SubImageBundle:
     dataset: str = "default"
     image_id: str = ""
     crop_position: tuple = (0, 0)
+    norms_low: np.ndarray = field(init=False, repr=False)
+    norms_deep: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         where = f"{self.image_id or 'sub-image'}: "
@@ -65,11 +70,14 @@ class SubImageBundle:
             k = as_matrix(getattr(self, name), where + name)
             if k.shape[0] != n:
                 raise DimensionMismatchError(f"{where}{name} has {k.shape[0]} rows for {n} tokens")
-            key_row_norms(k, where + name)
+            object.__setattr__(self, "norms" + name[4:], key_row_norms(k, where + name))
         for name in ("attn_low", "attn_deep"):
             a = check_attention_vector(getattr(self, name), where + name)
             if a.size != n:
                 raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
+        for name, low in (("grid_shape", 1), ("crop_position", 0)):
+            if not is_int_pair(value := getattr(self, name), low):
+                raise TokzipError(f"{where}{name} must be two integers >= {low}, got {value!r}")
         rows, cols = self.grid_shape
         if rows * cols != n:
             raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")
@@ -112,7 +120,7 @@ def compress_subimage(
     """
     if bundle.is_global:
         raise GlobalImageRejectedError("the global image bundle is never compressed")
-    report = compute_density(bundle.keys_low, density_cfg)
+    report = compute_density(CosineKeys(bundle.keys_low, bundle.norms_low), density_cfg)
     sel = (select or select_tokens)(
         bundle.attn_deep, bundle.attn_low, report.density, selection_cfg
     )
@@ -120,9 +128,8 @@ def compress_subimage(
     branch = np.isin(merged, sel.global_indices) + 2 * np.isin(merged, sel.local_indices)
     return CompressionResult(
         retained_indices=merged,
-        compressed_tokens=aggregate(
-            bundle.y_last, bundle.keys_deep, bundle.attn_deep, merged, agg_cfg
-        ),
+        compressed_tokens=aggregate(bundle.y_last, CosineKeys(bundle.keys_deep, bundle.norms_deep),
+                                    bundle.attn_deep, merged, agg_cfg),
         density_report=report,
         branch_provenance=np.asarray(BRANCH_TAGS)[branch].tolist(),
         n_original=bundle.n_tokens,

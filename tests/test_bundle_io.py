@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 import tokzip.bundle_io
+from tokzip.bundle_io import read_manifest
 from tokzip import (
     SyntheticSpec,
     compress_document,
@@ -103,6 +104,25 @@ def test_manifest_is_checked_before_any_tensor_is_read(tmp_path, monkeypatch):
         with pytest.raises(ParseError, match="subimage 2|grid_shape|crop_position"):
             load_bundle(manifest)
     assert calls == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("grid_shape", (-2, -3)), ("grid_shape", (2.0, 3.0)), ("grid_shape", (True, 6)),
+    ("grid_shape", (np.int64(2), 3)), ("grid_shape", (1, 2, 3)),
+    ("crop_position", (-1, 0)), ("crop_position", ("a", 0)), ("crop_position", (0,)),
+])
+def test_bundle_and_manifest_share_the_grid_and_position_rule(field, value, tmp_path):
+    b = _small_bundle(n=6)  # grid (2, 3): the bad grids multiply to 6 as well
+    with pytest.raises(TokzipError, match=f"{b.image_id}: {field}"):
+        dataclasses.replace(b, **{field: value})
+    dataclasses.replace(b, **{field: [2, 3]})  # two ints in a list pass, as YAML reads them
+    if not any(isinstance(v, np.generic) for v in value):  # a numpy scalar has no YAML form
+        manifest = write_bundle(tmp_path, [b])
+        doc = yaml.safe_load(manifest.read_text())
+        doc["subimages"][0][field] = list(value)
+        manifest.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match=f"subimage 0: {field}"):
+            read_manifest(manifest)
 
 
 def test_attention_sum_warning(tmp_path):

@@ -170,7 +170,8 @@ HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch
 # was replaced by the entry's position, a non-finite iqr_factor switched the global branch
 # off, a quoted is_global 'false' passed its crop through uncompressed, a dataset or an
 # image_id that was not a string was turned into one, and density read two global images.
-# masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid.
+# masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid;
+# masks --scale 10**10 asked numpy for a 5.24 TiB raster, and 10**20 overflowed.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -183,6 +184,10 @@ BAD_INPUTS = {
     "alpha_out_of_range": ({}, "density --manifest {manifest} --alpha 2"),
     "scale_zero": ({}, "masks --manifest {manifest} --results {t}/run/results.json --out {t}/o "
                        "--scale 0"),
+    "scale_too_large": ({}, "masks --manifest {manifest} --results {t}/run/results.json "
+                            "--out {t}/o --scale 10000000000"),
+    "scale_overflows": ({}, "masks --manifest {manifest} --results {t}/run/results.json "
+                            "--out {t}/o --scale 100000000000000000000"),
     "subimages_scalar": ({"m.yaml": "subimages: 5\n"}, "density --manifest {t}/m.yaml"),
     "subimage_not_mapping": ({"m.yaml": "subimages: [1]\n"}, "density --manifest {t}/m.yaml"),
     "grid_shape_scalar": ({"m.yaml": f"subimages: [{{{SUB_A}, grid_shape: 5}}]\n"},

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from tokzip import (
     DensityConfig,
     SubImageBundle,
+    aggregate,
     compress_document,
     compute_density,
     normalize_rows,
     write_bundle,
 )
-from tokzip.core import CosineKeys, similarity_matrix
+from tokzip.core import CosineKeys, key_row_norms, similarity_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -176,6 +177,22 @@ def test_filter_and_recheck_stay_within_their_bounds(d):
         for value, eps in ((float(sim[i[t], j[t]]), ck.eps), (float(cos64[t]), ck.eps64)):
             assert cosine_compare(gram, i[t], j[t], Fraction(value) + Fraction(eps)) <= 0
             assert cosine_compare(gram, i[t], j[t], Fraction(value) - Fraction(eps)) >= 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prepared_keys_decide_as_the_bare_array(dtype, lattice_keys):
+    # Lattice cosines sit exactly on alpha = 0.5 and copies tie, so the exact tiers run.
+    rng = np.random.default_rng(17)
+    keys = lattice_keys(rng, 300).astype(dtype)
+    tokens = rng.standard_normal((300, 16)).astype(dtype)
+    attn = rng.uniform(0.1, 1.0, 300)
+    retained = np.arange(0, 300, 3)
+    cfg = DensityConfig(alpha=0.5, limit_k=3)
+    mask = compute_density(keys, cfg).redundant_mask
+    merged = aggregate(tokens, keys, attn, retained)
+    for prepared in (CosineKeys(keys), CosineKeys(keys, key_row_norms(keys))):
+        assert compute_density(prepared, cfg).redundant_mask.tolist() == mask.tolist()
+        assert aggregate(tokens, prepared, attn, retained).tobytes() == merged.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["copies", "lattice"])

@@ -3,7 +3,7 @@ import pytest
 
 from tokzip import DensityConfig, SelectionConfig, compress_subimage, render_masks
 from tokzip.errors import GridMismatchError
-from tokzip.masks import LEVEL_DROPPED, LEVEL_GLOBAL, LEVEL_LOCAL, write_pgm
+from tokzip.masks import LEVEL_DROPPED, LEVEL_GLOBAL, LEVEL_LOCAL, MAX_SCALE, write_pgm
 
 
 def _read_pgm(path):
@@ -21,6 +21,12 @@ def test_write_pgm_scaling(tmp_path):
     img = _read_pgm(p)
     assert img.shape == (3, 6)
     assert (img[:, :3] == 0).all() and (img[:, 3:] == 255).all()
+
+
+def test_write_pgm_refuses_a_scale_past_the_bound(tmp_path):
+    with pytest.raises(ValueError, match="scale"):
+        write_pgm(tmp_path / "g.pgm", [[0, 255]], scale=MAX_SCALE + 1)
+    assert not (tmp_path / "g.pgm").exists()
 
 
 def test_clone_bundle_masks(tmp_path, clone_bundle, clone_density_cfg):

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import tokzip.core
+import tokzip.pipeline
 from tokzip import (
     AggregationConfig,
     DensityConfig,
@@ -11,9 +13,11 @@ from tokzip import (
     SyntheticSpec,
     compress_document,
     compress_subimage,
+    compute_density,
     corpus_stats,
     generate,
 )
+from tokzip.core import CosineKeys
 from tokzip.errors import (
     EmptyCorpusError,
     GlobalImageRejectedError,
@@ -34,6 +38,26 @@ def test_all_orthogonal_keeps_everything():
     assert res.ratio == 1.0
     # aggregation smooths but the row count is unchanged
     assert res.compressed_tokens.shape == bundle.y_last.shape
+
+
+def test_key_norms_are_computed_once_per_matrix(monkeypatch):
+    calls = []
+
+    def counting(keys, name="key", _real=tokzip.core.key_row_norms):
+        calls.append(name)
+        return _real(keys, name)
+
+    monkeypatch.setattr(tokzip.core, "key_row_norms", counting)
+    monkeypatch.setattr(tokzip.pipeline, "key_row_norms", counting)
+    bundle = generate(SyntheticSpec(n_tokens=64, dim=80, redundancy_fraction=0.5, seed=3))
+    assert len(calls) == 2  # the bundle's check, once per key matrix
+    compress_subimage(bundle)
+    assert len(calls) == 2  # the stages start from the norms the check kept
+    assert not any(isinstance(v, CosineKeys) for v in vars(bundle).values())
+    keys = CosineKeys(bundle.keys_low, bundle.norms_low)
+    assert "unit" not in vars(keys)  # built by the first decision, inside the stage
+    compute_density(keys)
+    assert "unit" in vars(keys) and len(calls) == 2
 
 
 def test_global_image_rejected():
