@@ -64,11 +64,14 @@ def local_sample_count(density, n_tokens):
 def local_select(attn_low, m, cfg=SelectionConfig(), rng=None):
     """Sample m distinct indices without replacement, weighted by attention.
 
-    Sequential renormalized draws: at every step the remaining scores are
-    renormalized and one index is drawn, so each draw uses the attention
-    score as its selection probability verbatim. Zero-score tokens are never
-    drawn; if fewer than m scores are positive the call fails rather than
-    padding silently.
+    Successive sampling, drawn in rounds: each round draws the number still
+    needed, with replacement, from the remaining scores (one cumsum, one
+    rng.random(k), one searchsorted), keeps each index drawn and zeroes its
+    score. A with-replacement draw that misses the kept set has the law of
+    the next sequential renormalized draw, so each remaining score is the
+    selection probability verbatim, and every round keeps its first draw.
+    Zero-score tokens are never drawn; if fewer than m scores are positive
+    the call fails rather than padding silently.
 
     Deterministic for a fixed cfg.seed (when rng is not supplied). Returns a
     sorted index array.
@@ -86,16 +89,18 @@ def local_select(attn_low, m, cfg=SelectionConfig(), rng=None):
         rng = np.random.default_rng(cfg.seed)
 
     weights = scores.copy()
-    chosen = np.empty(m, dtype=np.intp)
-    for t in range(m):
+    kept = []
+    need = m
+    while need:
         cum = np.cumsum(weights)
-        u = rng.random() * cum[-1]
-        idx = int(np.searchsorted(cum, u, side="right"))
-        idx = min(idx, n - 1)  # guard against u landing exactly on cum[-1]
-        chosen[t] = idx
-        weights[idx] = 0.0
-    chosen.sort()
-    return chosen
+        drawn = np.searchsorted(cum, rng.random(need) * cum[-1], side="right")
+        # A subnormal total can round u up to cum[-1]; such a draw takes the
+        # last index still in play, never a zero-score or kept one.
+        new = np.unique(np.minimum(drawn, np.flatnonzero(weights)[-1]))
+        weights[new] = 0.0
+        kept.append(new)
+        need -= new.size
+    return np.sort(np.concatenate(kept))
 
 
 def merge_indices(global_indices, local_indices, attn_low, cfg=SelectionConfig()):

@@ -151,8 +151,8 @@ class TestChi2Sf:
 
     def test_selftest_subset_values(self):
         chi2, p = uniform_subset_chisquare(5, 2, 50_000, seed=404)
-        assert chi2 == pytest.approx(3.0244, abs=1e-12)
-        assert abs(p - 0.9633197280872532) <= 1e-12
+        assert chi2 == pytest.approx(6.3812, abs=1e-12)
+        assert abs(p - 0.7012426390301577) <= 1e-12
 
 
 def test_import_loads_no_scipy():

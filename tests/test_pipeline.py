@@ -79,7 +79,7 @@ class TestHandTrace:
     """Step-by-step trace of the full pipeline on the 75%-clone bundle.
 
     Every stage is recomputed here with independent oracle code (plus a
-    replication of the sequential sampling draws on the same seeded
+    replication of the local branch's sampling rounds on the same seeded
     generator), and the final values are also frozen as literals.
     """
 
@@ -91,16 +91,17 @@ class TestHandTrace:
         d = 1 - n_red / n
         gi = oracle_global_select(bundle.attn_deep)
         m = int(np.floor(d * n + 0.5))
-        # sequential renormalized draws on an identically seeded generator
+        # rounds on an identically seeded generator: draw the count still
+        # needed with replacement, keep every new index, zero the kept weights
         rng = np.random.default_rng(self.SEED)
         weights = np.asarray(bundle.attn_low, dtype=np.float64).copy()
-        drawn = []
-        for _ in range(m):
+        drawn = set()
+        while len(drawn) < m:
             cum = np.cumsum(weights)
-            u = rng.random() * cum[-1]
-            idx = int(np.searchsorted(cum, u, side="right"))
-            drawn.append(min(idx, n - 1))
-            weights[drawn[-1]] = 0.0
+            last = int(np.flatnonzero(weights)[-1])
+            for u in rng.random(m - len(drawn)) * cum[-1]:
+                drawn.add(min(int(np.searchsorted(cum, u, side="right")), last))
+            weights[sorted(drawn)] = 0.0
         merged = sorted(set(gi) | set(drawn))
         y_prime = oracle_aggregate(
             bundle.y_last, bundle.keys_deep, bundle.attn_deep, merged, knn_k

@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ from tokzip import (
     select_tokens,
 )
 from tokzip.errors import EmptyInputError, InsufficientSupportError
-from tokzip.harness import oracle_global_select
+from tokzip.harness import chi2_sf, oracle_global_select
 
 
 class TestGlobalSelect:
@@ -98,6 +102,47 @@ class TestLocalSelect:
 
         freq = first_draw_frequency([0.7, 0.2, 0.1], 0, 20_000, seed=3)
         assert freq == pytest.approx(0.7, abs=0.02)
+
+    def test_subnormal_total_draws_no_zero_score_or_duplicate(self):
+        # u = rng.random() * cum[-1] can round up to a subnormal cum[-1]
+        for seed in range(200):
+            cfg = SelectionConfig(seed=seed)
+            assert local_select([5e-324, 0.0], 1, cfg).tolist() == [0]
+            assert local_select([5e-324, 0.0, 5e-324], 2, cfg).tolist() == [0, 2]
+
+    def test_full_support_over_wide_range(self):
+        attn = np.array([1e-300, 1e300, 3.0, 0.0, 1e-150, 5e-324, 1e150, 2e-10])
+        positive = np.flatnonzero(attn).tolist()
+        for seed in range(50):
+            assert local_select(attn, len(positive), SelectionConfig(seed=seed)).tolist() == positive
+
+    def test_first_draw_is_the_single_draw(self):
+        w = np.array([0.31, 0.07, 0.22, 0.05, 0.35])
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            cum = np.cumsum(w)
+            first = int(np.searchsorted(cum, rng.random() * cum[-1], "right"))
+            assert local_select(w, 1, SelectionConfig(seed=seed)).tolist() == [first]
+            assert first in local_select(w, 3, SelectionConfig(seed=seed)).tolist()
+
+    def test_weighted_subsets_follow_successive_sampling(self):
+        w = [0.4, 0.25, 0.15, 0.12, 0.08]
+        exact = {}
+        for order in itertools.permutations(range(5), 3):
+            p, left = Fraction(1), sum(map(Fraction, w))
+            for i in order:
+                p *= Fraction(w[i]) / left
+                left -= Fraction(w[i])
+            key = tuple(sorted(order))
+            exact[key] = exact.get(key, 0) + p
+        assert sum(exact.values()) == 1
+        trials = 60_000
+        rng = np.random.default_rng(12)
+        counts = Counter(tuple(local_select(w, 3, rng=rng).tolist()) for _ in range(trials))
+        assert set(counts) <= set(exact)
+        expected = {s: float(p) * trials for s, p in exact.items()}
+        chi2 = sum((counts[s] - e) ** 2 / e for s, e in expected.items())
+        assert chi2_sf(chi2, len(exact) - 1) > 0.001
 
 
 class TestMergeIndices:
