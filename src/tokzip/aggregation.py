@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLOCK_ROWS, CosineKeys, as_matrix, check_attention_vector
-from .errors import DimensionMismatchError, EmptyRetentionError, NeighborCountExceedsTokensError
+from .errors import DimensionMismatchError, EmptyRetentionError
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,14 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     similarity break toward the lowest index. `keys_deep` is a key matrix,
     or the CosineKeys prepared from one.
 
-    Retained rows are processed in blocks of at most BLOCK_ROWS: only the
-    R x N similarities of retained rows are computed. Besides the R x D
-    output and the N x D float32 unit keys, the working set is
-    O(BLOCK_ROWS * N) similarities plus a BLOCK_ROWS x (knn_k + 1) x D
-    float64 gather of group tokens. float32 tokens stay float32 until they
-    are gathered; the upcast is exact, so the output is that of their
-    float64 upcast, bit for bit.
+    One CosineKeys.nearest call per sub-image finds every group, taking
+    each retained pair's similarity once; groups are summed in blocks of at
+    most BLOCK_ROWS. Besides the R x D output and the N x D float32 unit
+    keys, the working set is the R x (knn_k + 1) running top of `nearest`
+    and two BLOCK_ROWS x N blocks of similarities, then a
+    BLOCK_ROWS x (knn_k + 1) x D float64 gather of group tokens.
+    float32 tokens stay float32 until they are gathered; the upcast is
+    exact, so the output is that of their float64 upcast, bit for bit.
     """
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
@@ -58,23 +59,17 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     retained = np.sort(np.asarray(retained, dtype=np.intp))
     if retained.size == 0:
         raise EmptyRetentionError("retained index set is empty")
-    if retained[0] < 0 or retained[-1] >= n:
-        raise IndexError(f"retained indices out of range [0, {n})")
     keys = keys_deep if isinstance(keys_deep, CosineKeys) else CosineKeys(keys_deep)
     if keys.keys.shape[0] != n or weights_full.size != n:
         raise DimensionMismatchError(f"tokens, keys_deep and attn_deep have {n}, "
                                      f"{keys.keys.shape[0]} and {weights_full.size} rows")
-    if cfg.knn_k > n - 1:
-        raise NeighborCountExceedsTokensError(
-            f"knn_k={cfg.knn_k} but only {n - 1} candidate neighbors exist"
-        )
 
     # The output outlives the unit rows that `nearest` builds, so it is
     # allocated first: the other order raises the process's peak RSS.
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
+    neighbors = keys.nearest(retained, cfg.knn_k)
     for lo in range(0, retained.size, BLOCK_ROWS):
-        rows = retained[lo : lo + BLOCK_ROWS]
-        groups = keys.nearest(rows, cfg.knn_k)
+        rows, groups = retained[lo : lo + BLOCK_ROWS], neighbors[lo : lo + BLOCK_ROWS]
         if cfg.include_self:
             groups = np.concatenate([rows[:, None], groups], axis=1)
         w = weights_full[groups]

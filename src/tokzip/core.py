@@ -14,7 +14,8 @@ from functools import cached_property, cmp_to_key
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, NonFiniteValueError, ZeroRowError
+from .errors import (DimensionMismatchError, EmptyInputError, NeighborCountExceedsTokensError,
+                     NonFiniteValueError, ZeroRowError)
 
 # Row norms below this are treated as zero.
 ZERO_NORM_EPS = 1e-12
@@ -189,8 +190,9 @@ class CosineKeys:
     norms: their float64 norms, key_row_norms(keys) unless given (a
            SubImageBundle keeps those its check computed)
     unit:  the unit rows, divided in float64 block by block and cast once
-           to float32, on first use: the operand of the filter GEMM. Keys are
-           not cast first: entries beyond about 3.4e38 would overflow.
+           to float32, on first use: the filter GEMM operand of `similar`
+           (`nearest` builds its own). Keys are not cast first: entries
+           beyond about 3.4e38 would overflow.
     eps:   cosine_error_bound in float32: a float32 similarity of two unit
            rows is within eps of their exact cosine
     eps64: the same bound for `cosines`
@@ -204,10 +206,14 @@ class CosineKeys:
 
     @cached_property
     def unit(self):
-        unit = np.empty(self.keys.shape, dtype=np.float32)
+        return self._unit_rows()
+
+    def _unit_rows(self, order=None):
+        """The unit rows keys[order], all rows by default, divided in float64 block by block."""
+        unit = np.empty((len(self.keys if order is None else order), self.keys.shape[1]), np.float32)
         for lo in range(0, len(unit), BLOCK_ROWS):
-            block = slice(lo, lo + BLOCK_ROWS)  # divided in float64, then cast
-            np.divide(self.keys[block], self.norms[block, None], out=unit[block],
+            rows = slice(lo, lo + BLOCK_ROWS) if order is None else order[lo : lo + BLOCK_ROWS]
+            np.divide(self.keys[rows], self.norms[rows, None], out=unit[lo : lo + BLOCK_ROWS],
                       casting="same_kind")
         return unit
 
@@ -231,35 +237,60 @@ class CosineKeys:
         """Each row's knn_k most similar other rows, most similar first.
 
         Returns a len(rows) x knn_k index array in (exact cosine desc, index
-        asc) order, so a tie at the cut goes to the lowest index. Similarities
-        are taken against all N rows; the caller bounds len(rows), which sets
-        the len(rows) x N working set.
+        asc) order, so a tie at the cut goes to the lowest index. Rows may
+        come in any order and repeat; one outside [0, N) raises IndexError.
 
-        The float32 top knn_k + 1 of a row decide it when each value is more
-        than 2 eps above the next: every value is within eps of its exact
-        cosine, and every other row is at most the (knn_k + 1)-th. For the
-        other rows the exact top knn_k is among the candidates whose float32
-        value is at least the float32 knn_k-th largest minus 2 eps. These are
-        sorted by float64 cosine. Where consecutive ones are within 2 eps64 of
-        each other, the run they form is put in order by _exact_order.
+        Each pair of the R distinct rows is multiplied once: with unit rows
+        built those R first, a block of BLOCK_ROWS of them meets itself and all
+        later rows, and hands later ones among the R their columns, transposed.
+        Each row keeps a running float32 top knn_k + 1, whole once its block
+        is done. The top decides a row when each value is more than 2 eps
+        above the next: every value is within eps of its exact cosine,
+        whichever row of the pair computed it, and every other row is at most
+        the (knn_k + 1)-th. Any other row goes to _settle with its full row:
+        the block's columns, and the earlier ones computed again. Besides the
+        unit rows, the working set is that top and two BLOCK_ROWS x N blocks.
         """
+        n = self.keys.shape[0]
         rows = np.asarray(rows, dtype=np.intp)
-        if knn_k == 0:
-            return np.empty((rows.size, 0), dtype=np.intp)
-        sim = similarity_matrix(self.unit[rows], self.unit)
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"rows out of range [0, {n})")
+        if knn_k >= n:
+            raise NeighborCountExceedsTokensError(f"knn_k={knn_k} but only {n - 1} neighbors exist")
+        want, back = np.unique(rows, return_inverse=True)
+        if knn_k == 0 or want.size == 0:
+            return np.empty((rows.size, knn_k), dtype=np.intp)
+        r = want.size
+        order = np.concatenate([want, np.setdiff1d(np.arange(n), want, assume_unique=True)])
+        unit = self._unit_rows(order)
+        top_v, top_i = np.full((r, knn_k + 1), -np.inf, np.float32), np.zeros((r, knn_k + 1), np.intp)
+        groups, cols = np.empty((r, knn_k), dtype=np.intp), np.argsort(order)  # cols: key order
+        for lo in range(0, r, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, r)
+            sim = similarity_matrix(unit[lo:hi], unit[lo:])
+            np.fill_diagonal(sim, -np.inf)  # neighbors are other rows
+            _keep_top(top_v[hi:], top_i[hi:], np.ascontiguousarray(sim[:, hi - lo : r - lo].T), lo)
+            _keep_top(top_v[lo:hi], top_i[lo:hi], sim, lo)
+            groups[lo:hi] = order[top_i[lo:hi, :knn_k]]
+            gaps = np.diff(top_v[lo:hi].astype(np.float64))
+            still = np.flatnonzero((gaps >= -2 * self.eps).any(axis=1))
+            if still.size:
+                full = sim[still] if lo == 0 else np.hstack([
+                    similarity_matrix(unit[:lo], unit[lo + still]).T, sim[still]])
+                groups[lo + still] = self._settle(want[lo + still], full[:, cols], knn_k)
+        return groups[back]
+
+    def _settle(self, rows, sim, knn_k):
+        """The groups of `rows`, from their float32 similarities `sim` to all N rows.
+
+        The exact top knn_k of a row is among the candidates no more than 2 eps
+        below its float32 knn_k-th largest, sorted by float64 cosine; a run of
+        them each within 2 eps64 of the next is put in order by _exact_order.
+        """
         sim[np.arange(rows.size), rows] = -np.inf  # neighbors are other rows
-        cut = sim.shape[1] - knn_k - 1
-        top = np.argpartition(sim, cut, axis=1)[:, cut:]
-        top = np.take_along_axis(top, np.argsort(-np.take_along_axis(sim, top, axis=1)), axis=1)
-        values = np.take_along_axis(sim, top, axis=1).astype(np.float64)
-        groups = top[:, :knn_k]
-        still = np.flatnonzero((values[:, :-1] - values[:, 1:] <= 2 * self.eps).any(axis=1))
-        if still.size == 0:
-            return groups
-        kth = values[still, knn_k - 1] - 2 * self.eps
-        r, cand = np.nonzero(sim[still] >= kth[:, None])  # compared in float64
-        open_rows = rows[still]
-        cos = self.cosines(open_rows[r], cand)
+        kth = np.partition(sim, -knn_k, axis=1)[:, -knn_k].astype(np.float64) - 2 * self.eps
+        r, cand = np.nonzero(sim >= kth[:, None])  # compared in float64
+        cos = self.cosines(rows[r], cand)
         order = np.lexsort((cand, -cos, r))
         r, cand, cos = r[order], cand[order], cos[order]
         rank = np.arange(r.size) - np.searchsorted(r, r)  # place within the row
@@ -269,9 +300,8 @@ class CosineKeys:
         hi = np.append(lo[1:], r.size)
         open_runs = (hi - lo > 1) & (rank[lo] < knn_k)
         for a, b in zip(lo[open_runs], hi[open_runs]):
-            cand[a:b] = self._exact_order(open_rows[r[a]], cand[a:b])
-        groups[still] = cand[rank < knn_k].reshape(still.size, knn_k)
-        return groups
+            cand[a:b] = self._exact_order(rows[r[a]], cand[a:b])
+        return cand[rank < knn_k].reshape(rows.size, knn_k)
 
     def cosines(self, i, j):
         """float64 cosines of the row pairs (i[t], j[t]), each within eps64 of exact.
@@ -324,6 +354,21 @@ class CosineKeys:
             return (num[b] * den[a] - num[a] * den[b]) or int(cols[s] - cols[t])
 
         return cols[sorted(range(len(cols)), key=cmp_to_key(after))]
+
+
+def _keep_top(top_v, top_i, sim, first):
+    """Merge each row's largest in `sim` (columns numbered from `first`) into its top, desc."""
+    at = np.arange(len(sim))
+    v, i = np.empty(top_v.shape, dtype=np.float32), np.empty(top_i.shape, dtype=np.intp)
+    for s in range(top_v.shape[1]):  # past sim's width, a round picks -inf
+        i[:, s] = sim.argmax(axis=1)
+        v[:, s] = sim[at, i[:, s]]
+        sim[at, i[:, s]] = -np.inf
+    for s in reversed(range(top_v.shape[1])):  # sim as it was
+        sim[at, i[:, s]] = v[:, s]
+    v, i = np.concatenate([top_v, v], axis=1), np.concatenate([top_i, i + first], axis=1)
+    pick = np.argsort(-v, axis=1, kind="stable")[:, : top_v.shape[1]]
+    top_v[:], top_i[:] = np.take_along_axis(v, pick, axis=1), np.take_along_axis(i, pick, axis=1)
 
 
 def quantile(values, q):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokzip.core
 from tokzip import AggregationConfig, aggregate, normalize_rows, similarity_matrix
 from tokzip.core import BLOCK_ROWS, CosineKeys
 from tokzip.errors import (
@@ -162,21 +163,54 @@ def test_blocked_matches_per_row_reference(n, n_ret, kind, lattice_keys):
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [AggregationConfig(knn_k=0), AggregationConfig(knn_k=5, include_self=False),
-     AggregationConfig(knn_k=4, normalize_weights=False), AggregationConfig(knn_k=40)],
-    ids=["k0", "no_self", "unnormalized", "k40"],
+    "cfg,n_ret,kind",
+    [(AggregationConfig(knn_k=0), BLOCK_ROWS + 1, "duplicated"),
+     (AggregationConfig(knn_k=5, include_self=False), BLOCK_ROWS + 1, "duplicated"),
+     (AggregationConfig(knn_k=4, normalize_weights=False), BLOCK_ROWS + 1, "duplicated"),
+     (AggregationConfig(knn_k=40), BLOCK_ROWS + 1, "duplicated"),
+     # Every row retained and knn_k = n - 1, so the last row block has fewer
+     # columns than knn_k + 1; distinct keys leave most rows to the float32 top.
+     (AggregationConfig(knn_k=2 * BLOCK_ROWS + 2), 2 * BLOCK_ROWS + 3, "distinct")],
+    ids=["k0", "no_self", "unnormalized", "k40", "k_all"],
 )
-def test_blocked_config_variants(cfg, lattice_keys):
+def test_blocked_config_variants(cfg, n_ret, kind, lattice_keys):
     rng = np.random.default_rng(5)
     n, d = 2 * BLOCK_ROWS + 3, 16
     y = rng.standard_normal((n, d))
-    keys = lattice_keys(rng, n, d)
+    keys = lattice_keys(rng, n, d) if kind == "duplicated" else rng.standard_normal((n, d))
     attn = rng.uniform(0.01, 1.0, n)
-    retained = np.sort(rng.choice(n, size=BLOCK_ROWS + 1, replace=False))
+    retained = np.sort(rng.choice(n, size=n_ret, replace=False))
     _, want = per_row_reference(y, keys, attn, retained, cfg.knn_k, cfg.include_self,
                                 cfg.normalize_weights)
     np.testing.assert_array_equal(aggregate(y, keys, attn, retained, cfg), want)
+
+
+def test_nearest_answers_rows_in_the_callers_order(lattice_keys):
+    rng = np.random.default_rng(8)
+    n, d = 2 * BLOCK_ROWS + 3, 16
+    keys = lattice_keys(rng, n, d)
+    rows = rng.permutation(n)[: BLOCK_ROWS + 7]
+    rows[-1] = rows[3]
+    want, _ = per_row_reference(np.zeros((n, 1)), keys, np.ones(n), rows, 3)
+    np.testing.assert_array_equal(CosineKeys(keys).nearest(rows, 3), want)
+    for bad in ([-1], [n]):
+        with pytest.raises(IndexError):
+            CosineKeys(keys).nearest(bad, 3)
+
+
+def test_nearest_takes_each_retained_pair_once(monkeypatch):
+    entries = []
+
+    def counting(a, b=None, _real=tokzip.core.similarity_matrix):
+        sim = _real(a, b)
+        entries.append(sim.size)
+        return sim
+
+    monkeypatch.setattr(tokzip.core, "similarity_matrix", counting)
+    n = 4 * BLOCK_ROWS
+    keys = np.random.default_rng(9).standard_normal((n, 64))
+    CosineKeys(keys).nearest(np.arange(n), 3)
+    assert sum(entries) < n * n * 2 / 3  # every row against all N would take n * n
 
 
 def test_all_zero_group_weights_average_uniformly(lattice_keys):
