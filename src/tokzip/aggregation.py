@@ -42,7 +42,8 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     Returns a |retained| x D matrix, rows ordered by ascending retained index.
     Neighbors are drawn from all N tokens; groups may overlap. Ties in
     similarity break toward the lowest index. `keys_deep` is a key matrix,
-    or the CosineKeys prepared from one.
+    or the CosineKeys prepared from one. `retained` holds integers: nearest
+    refuses others with IndexError, so a bool mask is not read as indices.
 
     One CosineKeys.nearest call per sub-image finds every group, taking
     each retained pair's similarity once; groups are summed in blocks of at
@@ -56,7 +57,7 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
     n = y.shape[0]
-    retained = np.sort(np.asarray(retained, dtype=np.intp))
+    retained = np.sort(np.asarray(retained))
     if retained.size == 0:
         raise EmptyRetentionError("retained index set is empty")
     keys = keys_deep if isinstance(keys_deep, CosineKeys) else CosineKeys(keys_deep)

@@ -12,7 +12,6 @@ from .bundle_io import (
     _json_dump, is_file_name, load_entry, load_results, open_results, read_manifest, read_yaml,
     write_index, write_result,
 )
-from .core import CosineKeys
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError
 from .harness import baseline_select, oracle_suite
@@ -103,7 +102,7 @@ def _cmd_density(args):
     print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
     for entry in entries:
         b = load_entry(entry)
-        rep = compute_density(CosineKeys(b.keys_low, b.norms_low), cfg)
+        rep = compute_density(b.cosine_low, cfg)
         print(
             f"{b.image_id:<24} {b.n_tokens:>6} {rep.n_redundant:>6} "
             f"{rep.redundancy:>11.4f} {rep.density:>9.4f}"
@@ -170,17 +169,13 @@ def _cmd_masks(args):
         passthrough = bool(meta.get("is_global_passthrough"))
         mask = (None if passthrough else
                 _meta_list(meta, "redundant_mask", lambda r: type(r) is bool, where))
-        n = len(mask if mask is not None else
-                _meta_list(meta, "retained_indices", lambda i: type(i) is int, where))
-        retained = _meta_list(meta, "retained_indices",
-                              lambda i: type(i) is int and 0 <= i < n, where)
+        retained = _meta_list(meta, "retained_indices", lambda i: type(i) is int, where)
+        n = len(mask if mask is not None else retained)
         tags = _meta_list(meta, "branch_provenance",
                           lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, where)
         grid = meta.get("grid_shape")
         if not is_int_pair(grid, 1) or grid[0] * grid[1] != n:
             raise ParseError(f"{image_id!r}: grid_shape {grid!r} does not tile {n} tokens", where)
-        if not passthrough and len(tags) != len(retained):
-            raise ParseError(f"{image_id!r}: {len(retained)} indices but {len(tags)} tags", where)
         red, sel = render_masks(grid, retained, tags, mask, passthrough, out / image_id,
                                 scale=args.scale)
         print(f"{image_id}: wrote {red.name}, {sel.name}")

@@ -2,15 +2,15 @@
 
 Every keep/drop decision is defined on the exact cosine of two key rows as
 given, a·b / (|a| |b|), so no decision depends on BLAS rounding, kernel or
-thread count. Both decisions are CosineKeys methods: `similar` (density's
-`cosine > alpha`) and `nearest` (aggregation's k-NN order). Each decides in
-three tiers: a float32 GEMM of unit rows with a rigorous error bound, a
-float64 recheck of the few entries the bound leaves open, and an exact
-integer comparison for those still open.
+thread count. Both decisions are CosineKeys methods that walk the same upper
+block triangle: `peer_counts` (density's `cosine > alpha`) and `nearest`
+(aggregation's k-NN order). Each decides in three tiers: a float32 GEMM of
+unit rows with a rigorous error bound, a float64 recheck of the few entries
+the bound leaves open, and an exact integer comparison for those still open.
 """
 
 import math
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -183,30 +183,24 @@ def _integer_rows(k):
 
 
 class CosineKeys:
-    """Key rows prepared for decisions on their exact cosines: `similar` and `nearest`.
+    """Key rows prepared for decisions on their exact cosines: `peer_counts` and `nearest`.
 
-    keys:  the rows as given, float32 or float64, checked by key_row_norms;
-           the exact tiers upcast only the rows they gather
-    norms: their float64 norms, key_row_norms(keys) unless given (a
-           SubImageBundle keeps those its check computed)
-    unit:  the unit rows, divided in float64 block by block and cast once
-           to float32, on first use: the filter GEMM operand of `similar`
-           (`nearest` builds its own). Keys are not cast first: entries
-           beyond about 3.4e38 would overflow.
+    keys:  the rows as given, float32 or float64; the exact tiers upcast
+           only the rows they gather
+    norms: their float64 norms, key_row_norms(keys, name)
     eps:   cosine_error_bound in float32: a float32 similarity of two unit
            rows is within eps of their exact cosine
     eps64: the same bound for `cosines`
+
+    Each decision builds its float32 unit rows inside the call and drops them.
+    Keys are divided in float64, then cast: entries beyond 3.4e38 overflow float32.
     """
 
-    def __init__(self, keys, norms=None):
-        self.keys = as_matrix(keys, "key")
-        self.norms = key_row_norms(self.keys) if norms is None else norms
+    def __init__(self, keys, name="key"):
+        self.keys = as_matrix(keys, name)
+        self.norms = key_row_norms(self.keys, name)
         self.eps = cosine_error_bound(self.keys.shape[1], "float32")
         self.eps64 = cosine_error_bound(self.keys.shape[1], "float64")
-
-    @cached_property
-    def unit(self):
-        return self._unit_rows()
 
     def _unit_rows(self, order=None):
         """The unit rows keys[order], all rows by default, divided in float64 block by block."""
@@ -217,32 +211,40 @@ class CosineKeys:
                       casting="same_kind")
         return unit
 
-    def similar(self, lo, hi, alpha):
-        """Exact `cosine > alpha` of rows lo:hi against rows lo:, as a bool block.
+    def peer_counts(self, alpha, count_self=False):
+        """Per row, how many rows have an exact cosine above alpha with it.
 
-        A float32 similarity more than eps from alpha decides its entry; the
-        thresholds are stepped one float32 ulp outward, since a float32 array
-        compares with a Python float in float32 (NEP 50). _exceeds decides
-        the rest.
+        count_self counts the row itself among them. A float32 similarity
+        more than eps from alpha decides its entry; the thresholds are
+        stepped one float32 ulp outward, since a float32 array compares with
+        a Python float in float32 (NEP 50). _exceeds decides the rest. Each
+        block's counts go to its rows and, transposed, to the later columns.
         """
-        sim = similarity_matrix(self.unit[lo:hi], self.unit[lo:])
-        out = sim > np.nextafter(np.float32(alpha + self.eps), np.float32(np.inf))
-        still = (sim >= np.nextafter(np.float32(alpha - self.eps), np.float32(-np.inf))) ^ out
-        if still.any():
-            r, c = np.nonzero(still)
-            out[r, c] = self._exceeds(r + lo, c + lo, alpha)
-        return out
+        counts = np.zeros(self.keys.shape[0], dtype=np.intp)
+        above = np.nextafter(np.float32(alpha + self.eps), np.float32(np.inf))
+        below = np.nextafter(np.float32(alpha - self.eps), np.float32(-np.inf))
+        for lo, hi, sim in _upper_blocks(self._unit_rows(), len(counts)):
+            similar = sim > above
+            still = (sim >= below) ^ similar
+            if still.any():  # np.nonzero scans the whole block; most blocks need no recheck
+                r, c = np.nonzero(still)
+                similar[r, c] = self._exceeds(r + lo, c + lo, alpha)
+            if not count_self:
+                np.fill_diagonal(similar, False)
+            counts[lo:hi] += np.count_nonzero(similar, axis=1)
+            counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
+        return counts
 
     def nearest(self, rows, knn_k):
         """Each row's knn_k most similar other rows, most similar first.
 
         Returns a len(rows) x knn_k index array in (exact cosine desc, index
         asc) order, so a tie at the cut goes to the lowest index. Rows may
-        come in any order and repeat; one outside [0, N) raises IndexError.
+        come in any order and repeat; any but integers in [0, N) raise IndexError.
 
         Each pair of the R distinct rows is multiplied once: with unit rows
-        built those R first, a block of BLOCK_ROWS of them meets itself and all
-        later rows, and hands later ones among the R their columns, transposed.
+        built those R first, _upper_blocks takes each block of them with itself
+        and all later rows, handing later ones among the R their columns, transposed.
         Each row keeps a running float32 top knn_k + 1, whole once its block
         is done. The top decides a row when each value is more than 2 eps
         above the next: every value is within eps of its exact cosine,
@@ -252,9 +254,10 @@ class CosineKeys:
         unit rows, the working set is that top and two BLOCK_ROWS x N blocks.
         """
         n = self.keys.shape[0]
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= n):
-            raise IndexError(f"rows out of range [0, {n})")
+        rows = np.asarray(rows)
+        if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= n):
+            raise IndexError(f"rows must be integers in [0, {n})")
+        rows = rows.astype(np.intp, copy=False)
         if knn_k >= n:
             raise NeighborCountExceedsTokensError(f"knn_k={knn_k} but only {n - 1} neighbors exist")
         want, back = np.unique(rows, return_inverse=True)
@@ -265,9 +268,7 @@ class CosineKeys:
         unit = self._unit_rows(order)
         top_v, top_i = np.full((r, knn_k + 1), -np.inf, np.float32), np.zeros((r, knn_k + 1), np.intp)
         groups, cols = np.empty((r, knn_k), dtype=np.intp), np.argsort(order)  # cols: key order
-        for lo in range(0, r, BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, r)
-            sim = similarity_matrix(unit[lo:hi], unit[lo:])
+        for lo, hi, sim in _upper_blocks(unit, r):
             np.fill_diagonal(sim, -np.inf)  # neighbors are other rows
             _keep_top(top_v[hi:], top_i[hi:], np.ascontiguousarray(sim[:, hi - lo : r - lo].T), lo)
             _keep_top(top_v[lo:hi], top_i[lo:hi], sim, lo)
@@ -354,6 +355,16 @@ class CosineKeys:
             return (num[b] * den[a] - num[a] * den[b]) or int(cols[s] - cols[t])
 
         return cols[sorted(range(len(cols)), key=cmp_to_key(after))]
+
+
+def _upper_blocks(unit, r):
+    """Each block lo:hi of BLOCK_ROWS of the first r rows, and its similarities to unit[lo:].
+
+    So each pair among the first r rows is multiplied once.
+    """
+    for lo in range(0, r, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, r)
+        yield lo, hi, similarity_matrix(unit[lo:hi], unit[lo:])
 
 
 def _keep_top(top_v, top_i, sim, first):

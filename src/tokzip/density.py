@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CosineKeys
+from .core import CosineKeys
 
 
 @dataclass(frozen=True)
@@ -57,26 +57,9 @@ def compute_density(keys, cfg=DensityConfig()):
     """Count similar peers per token and report redundancy r and density d = 1 - r.
 
     Comparisons are strict ("> alpha", "> limit_k") exactly as stated, on the
-    exact cosine of the key rows: CosineKeys.similar decides each block.
-    `keys` is a key matrix, or the CosineKeys prepared from one.
-
-    Similarity is symmetric, so only the upper block triangle is computed:
-    each block of at most BLOCK_ROWS rows is compared with itself and every
-    later token, and its counts go to its rows and, transposed, to the later
-    columns. No N x N matrix is formed; the working set is O(BLOCK_ROWS * N).
+    exact cosine of the key rows: CosineKeys.peer_counts counts them, taking
+    each pair once, with no N x N matrix formed. `keys` is a key matrix, or
+    the CosineKeys prepared from one, such as a SubImageBundle's cosine_low.
     """
     keys = keys if isinstance(keys, CosineKeys) else CosineKeys(keys)
-    n = keys.keys.shape[0]
-    # The counts and the mask outlive the unit rows that `similar` builds, so
-    # they are allocated first: the other order raises the process's peak RSS.
-    peer_counts = np.zeros(n, dtype=np.intp)
-    redundant = np.empty(n, dtype=bool)
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        similar = keys.similar(lo, hi, cfg.alpha)
-        if not cfg.count_self:
-            diag = np.arange(hi - lo)
-            similar[diag, diag] = False
-        peer_counts[lo:hi] += np.count_nonzero(similar, axis=1)
-        peer_counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
-    return DensityReport(redundant_mask=np.greater(peer_counts, cfg.limit_k, out=redundant))
+    return DensityReport(redundant_mask=keys.peer_counts(cfg.alpha, cfg.count_self) > cfg.limit_k)

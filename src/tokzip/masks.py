@@ -48,13 +48,20 @@ def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
     tags; redundant_mask is its density report's bool mask, or None when it
     has none; passthrough marks the uncompressed global image, drawn as all
     retained. Returns the two written paths. Patch index i maps to grid cell
-    (i // cols, i % cols), matching raster token order.
+    (i // cols, i % cols), matching raster token order. Before writing, it
+    checks each index is in [0, N) and has a tag (the passthrough has none).
     """
+    out_prefix = Path(out_prefix)
     rows, cols = grid_shape
     n = rows * cols
     if redundant_mask is not None and np.size(redundant_mask) != n:
         raise GridMismatchError(f"grid {grid_shape} does not tile {np.size(redundant_mask)} tokens")
-    out_prefix = Path(out_prefix)
+    indices = np.asarray(retained)
+    if (outside := indices[(indices < 0) | (indices >= n)]).size:
+        raise GridMismatchError(f"{out_prefix.name}: retained index {outside[0]} not in [0, {n})")
+    if not passthrough and len(provenance) != len(retained):
+        raise GridMismatchError(f"{out_prefix.name}: {len(provenance)} tags for "
+                                f"{len(retained)} indices")
 
     redundancy = np.zeros(n, dtype=np.uint8)
     if redundant_mask is not None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import AggregationConfig, aggregate
-from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, key_row_norms, quantile
+from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
 from .errors import (DimensionMismatchError, EmptyCorpusError, GlobalImageRejectedError,
                      MultipleGlobalImagesError, TokzipError)
@@ -44,8 +44,9 @@ class SubImageBundle:
     the kernels upcast float32 per block. Checked once, when built, whether
     read from disk or made in memory, without a float64 copy of a float32
     matrix; derive a changed copy with dataclasses.replace. Errors name the
-    image_id and the field. The check keeps the float64 key row norms it
-    computes as norms_low and norms_deep, from which CosineKeys start.
+    image_id and the field. The check prepares each key matrix as a
+    CosineKeys, computing its float64 row norms once, and keeps them as
+    cosine_low and cosine_deep for the density and aggregation stages.
     """
 
     y_last: np.ndarray
@@ -58,8 +59,8 @@ class SubImageBundle:
     dataset: str = "default"
     image_id: str = ""
     crop_position: tuple = (0, 0)
-    norms_low: np.ndarray = field(init=False, repr=False)
-    norms_deep: np.ndarray = field(init=False, repr=False)
+    cosine_low: CosineKeys = field(init=False, repr=False)
+    cosine_deep: CosineKeys = field(init=False, repr=False)
 
     def __post_init__(self):
         where = f"{self.image_id or 'sub-image'}: "
@@ -67,10 +68,10 @@ class SubImageBundle:
         check_finite(y, where + "y_last")
         n = y.shape[0]
         for name in ("keys_low", "keys_deep"):
-            k = as_matrix(getattr(self, name), where + name)
-            if k.shape[0] != n:
-                raise DimensionMismatchError(f"{where}{name} has {k.shape[0]} rows for {n} tokens")
-            object.__setattr__(self, "norms" + name[4:], key_row_norms(k, where + name))
+            keys = CosineKeys(getattr(self, name), where + name)
+            if (rows := keys.keys.shape[0]) != n:
+                raise DimensionMismatchError(f"{where}{name} has {rows} rows for {n} tokens")
+            object.__setattr__(self, "cosine" + name[4:], keys)
         for name in ("attn_low", "attn_deep"):
             a = check_attention_vector(getattr(self, name), where + name)
             if a.size != n:
@@ -120,7 +121,7 @@ def compress_subimage(
     """
     if bundle.is_global:
         raise GlobalImageRejectedError("the global image bundle is never compressed")
-    report = compute_density(CosineKeys(bundle.keys_low, bundle.norms_low), density_cfg)
+    report = compute_density(bundle.cosine_low, density_cfg)
     sel = (select or select_tokens)(
         bundle.attn_deep, bundle.attn_low, report.density, selection_cfg
     )
@@ -128,8 +129,8 @@ def compress_subimage(
     branch = np.isin(merged, sel.global_indices) + 2 * np.isin(merged, sel.local_indices)
     return CompressionResult(
         retained_indices=merged,
-        compressed_tokens=aggregate(bundle.y_last, CosineKeys(bundle.keys_deep, bundle.norms_deep),
-                                    bundle.attn_deep, merged, agg_cfg),
+        compressed_tokens=aggregate(bundle.y_last, bundle.cosine_deep, bundle.attn_deep, merged,
+                                    agg_cfg),
         density_report=report,
         branch_provenance=np.asarray(BRANCH_TAGS)[branch].tolist(),
         n_original=bundle.n_tokens,
@@ -148,6 +149,7 @@ def compress_document(
     Each bundle gets its own generator seeded from selection_cfg.seed, so
     results do not depend on processing order and identical bundles under the
     same seed produce identical results. `select` is as in compress_subimage.
+    The global image's y_last is its result's tokens: shared if float64, not copied.
     """
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:
@@ -155,7 +157,7 @@ def compress_document(
     return [
         CompressionResult(
             retained_indices=np.arange(b.n_tokens, dtype=np.intp),
-            compressed_tokens=np.array(b.y_last, dtype=np.float64),
+            compressed_tokens=np.asarray(b.y_last, dtype=np.float64),
             density_report=None,
             branch_provenance=[],
             n_original=b.n_tokens,

@@ -63,6 +63,13 @@ def test_too_many_neighbors_rejected(rng):
                   np.ones(4), [0], AggregationConfig(knn_k=4))
 
 
+def test_bool_mask_rejected(rng):
+    # cast to integers, the mask would be read as rows [1, 0, 1, 0] and merge 4 rows
+    with pytest.raises(IndexError):
+        aggregate(rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
+                  np.ones(4), np.array([True, False, True, False]))
+
+
 @pytest.mark.parametrize("n_tokens,n_keys,n_attn", [(12, 10, 12), (10, 12, 12), (12, 12, 10),
                                                     (10, 12, 10)])
 def test_row_counts_must_agree(rng, n_tokens, n_keys, n_attn):
@@ -193,12 +200,13 @@ def test_nearest_answers_rows_in_the_callers_order(lattice_keys):
     rows[-1] = rows[3]
     want, _ = per_row_reference(np.zeros((n, 1)), keys, np.ones(n), rows, 3)
     np.testing.assert_array_equal(CosineKeys(keys).nearest(rows, 3), want)
-    for bad in ([-1], [n]):
+    for bad in ([-1], [n], [0.5], np.arange(n) % 2 == 0):
         with pytest.raises(IndexError):
             CosineKeys(keys).nearest(bad, 3)
 
 
-def test_nearest_takes_each_retained_pair_once(monkeypatch):
+@pytest.mark.parametrize("decision", ["nearest", "peer_counts"])
+def test_nearest_takes_each_retained_pair_once(decision, monkeypatch):
     entries = []
 
     def counting(a, b=None, _real=tokzip.core.similarity_matrix):
@@ -209,7 +217,10 @@ def test_nearest_takes_each_retained_pair_once(monkeypatch):
     monkeypatch.setattr(tokzip.core, "similarity_matrix", counting)
     n = 4 * BLOCK_ROWS
     keys = np.random.default_rng(9).standard_normal((n, 64))
-    CosineKeys(keys).nearest(np.arange(n), 3)
+    if decision == "nearest":
+        CosineKeys(keys).nearest(np.arange(n), 3)
+    else:
+        CosineKeys(keys).peer_counts(0.5)
     assert sum(entries) < n * n * 2 / 3  # every row against all N would take n * n
 
 

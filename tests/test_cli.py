@@ -163,6 +163,11 @@ LAST_TENSOR_BAD = (f"subimages: [{_entry('sub_a')}, {_entry('sub_b')}, "
 HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch_provenance": [], '
                   '"grid_shape": [3000000, 300000], "retained_indices": [0, 1, 2, 3]}')
 
+# sub_a's meta, but its retained index is negative: render_masks, not only masks, refuses it.
+NEGATIVE_INDEX_META = json.dumps({"image_id": "sub_a", "redundant_mask": [False] * 16,
+                                  "retained_indices": [-1], "branch_provenance": ["local"],
+                                  "grid_shape": [4, 4]})
+
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
 # except image_id_with_slash and labels_not_file_name, which wrote output outside --out,
 # last_tensor_in_last_entry, which left the earlier run's results.json in --out, and eight
@@ -172,6 +177,7 @@ HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch
 # image_id that was not a string was turned into one, and density read two global images.
 # masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid;
 # masks --scale 10**10 asked numpy for a 5.24 TiB raster, and 10**20 overflowed.
+# masks_negative_retained_index was already one error line; it keeps the check that moved.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -237,6 +243,9 @@ BAD_INPUTS = {
     "masks_meta_grid_too_large": ({"results.json": ONE_META, "m.json": HUGE_GRID_META},
                                   "masks --manifest {manifest} --results {t}/results.json "
                                   "--out {t}/o"),
+    "masks_negative_retained_index": ({"results.json": ONE_META, "m.json": NEGATIVE_INDEX_META},
+                                      "masks --manifest {manifest} --results {t}/results.json "
+                                      "--out {t}/o"),
 }
 
 

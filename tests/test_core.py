@@ -145,7 +145,7 @@ def test_float32_keys_get_no_float64_copy(rng):
                        attn_deep=attn, grid_shape=(32, 64))
         bundle_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        CosineKeys(keys).unit  # n x d float32 unit rows, built on first use: half a float64 copy
+        CosineKeys(keys)._unit_rows()  # n x d float32 unit rows: half a float64 copy
         keys_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

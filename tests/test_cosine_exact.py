@@ -23,7 +23,7 @@ from tokzip import (
     normalize_rows,
     write_bundle,
 )
-from tokzip.core import CosineKeys, key_row_norms, similarity_matrix
+from tokzip.core import CosineKeys, similarity_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -168,7 +168,8 @@ def test_filter_and_recheck_stay_within_their_bounds(d):
         keys[3, 0] = keys[0, 0]
     keys[4] *= 1e100  # beyond float32: the keys must not be cast before dividing
     ck = CosineKeys(keys)
-    sim = similarity_matrix(ck.unit, ck.unit)
+    unit = ck._unit_rows()
+    sim = similarity_matrix(unit, unit)
     assert sim.dtype == np.float32
     i, j = np.triu_indices(n)
     cos64 = ck.cosines(i, j)
@@ -190,9 +191,9 @@ def test_prepared_keys_decide_as_the_bare_array(dtype, lattice_keys):
     cfg = DensityConfig(alpha=0.5, limit_k=3)
     mask = compute_density(keys, cfg).redundant_mask
     merged = aggregate(tokens, keys, attn, retained)
-    for prepared in (CosineKeys(keys), CosineKeys(keys, key_row_norms(keys))):
-        assert compute_density(prepared, cfg).redundant_mask.tolist() == mask.tolist()
-        assert aggregate(tokens, prepared, attn, retained).tobytes() == merged.tobytes()
+    prepared = CosineKeys(keys)
+    assert compute_density(prepared, cfg).redundant_mask.tolist() == mask.tolist()
+    assert aggregate(tokens, prepared, attn, retained).tobytes() == merged.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["copies", "lattice"])

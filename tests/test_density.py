@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokzip import DensityConfig, compute_density, normalize_rows, similarity_matrix
-from tokzip.core import BLOCK_ROWS
+from tokzip.core import BLOCK_ROWS, CosineKeys
 from tokzip.errors import ZeroRowError
 from tokzip.harness import oracle_density
 
@@ -129,6 +129,7 @@ def test_blocked_counts_match_full_matrix_and_oracle(n, count_self, lattice_keys
     rng = np.random.default_rng(n)
     keys = lattice_keys(rng, n)
     counts = full_matrix_peer_counts(keys, 0.5, count_self)
+    np.testing.assert_array_equal(CosineKeys(keys).peer_counts(0.5, count_self), counts)
     # The masks at every limit_k a token sits on pin down every peer count.
     for limit_k in np.unique(counts):
         rep = compute_density(keys, DensityConfig(alpha=0.5, limit_k=int(limit_k),

@@ -55,6 +55,16 @@ def test_full_retention_has_no_dropped(tmp_path, clone_bundle):
     assert set(np.unique(sel)) <= {LEVEL_LOCAL, LEVEL_GLOBAL}
 
 
+@pytest.mark.parametrize("retained,tags", [([-1], ["local"]), ([4], ["local"]),
+                                           ([0, 3], ["local"])],
+                         ids=["negative_index", "index_past_n", "tag_missing"])
+def test_render_masks_refuses_what_it_cannot_paint(retained, tags, tmp_path):
+    with pytest.raises(GridMismatchError):
+        render_masks((2, 2), retained, tags, None, False, tmp_path / "bad")
+    assert not list(tmp_path.iterdir())
+    render_masks((2, 2), [0, 1, 2, 3], [], None, True, tmp_path / "global")  # no tags to match
+
+
 def test_grid_mismatch(tmp_path, clone_bundle, clone_density_cfg):
     res = compress_subimage(clone_bundle, clone_density_cfg)
     with pytest.raises(GridMismatchError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import tokzip.core
-import tokzip.pipeline
 from tokzip import (
     AggregationConfig,
     DensityConfig,
@@ -13,7 +12,6 @@ from tokzip import (
     SyntheticSpec,
     compress_document,
     compress_subimage,
-    compute_density,
     corpus_stats,
     generate,
 )
@@ -48,16 +46,26 @@ def test_key_norms_are_computed_once_per_matrix(monkeypatch):
         return _real(keys, name)
 
     monkeypatch.setattr(tokzip.core, "key_row_norms", counting)
-    monkeypatch.setattr(tokzip.pipeline, "key_row_norms", counting)
     bundle = generate(SyntheticSpec(n_tokens=64, dim=80, redundancy_fraction=0.5, seed=3))
     assert len(calls) == 2  # the bundle's check, once per key matrix
     compress_subimage(bundle)
-    assert len(calls) == 2  # the stages start from the norms the check kept
-    assert not any(isinstance(v, CosineKeys) for v in vars(bundle).values())
-    keys = CosineKeys(bundle.keys_low, bundle.norms_low)
-    assert "unit" not in vars(keys)  # built by the first decision, inside the stage
-    compute_density(keys)
-    assert "unit" in vars(keys) and len(calls) == 2
+    assert len(calls) == 2  # the stages use the CosineKeys the check prepared
+    for keys, matrix in ((bundle.cosine_low, bundle.keys_low),
+                         (bundle.cosine_deep, bundle.keys_deep)):
+        assert isinstance(keys, CosineKeys) and keys.keys is matrix
+        # the unit rows were built inside each decision and dropped on return
+        arrays = {name for name, v in vars(keys).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"keys", "norms"}
+
+
+def test_float64_global_image_is_shared_not_copied():
+    g = dataclasses.replace(_uniform_bundle(), is_global=True)
+    res = compress_document([g])[0]
+    assert res.is_global_passthrough and np.shares_memory(res.compressed_tokens, g.y_last)
+    g32 = dataclasses.replace(g, y_last=g.y_last.astype(np.float32))
+    res32 = compress_document([g32])[0]
+    assert res32.compressed_tokens.dtype == np.float64
+    assert res32.compressed_tokens.tobytes() == g32.y_last.astype(np.float64).tobytes()
 
 
 def test_global_image_rejected():
