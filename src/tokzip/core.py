@@ -6,11 +6,12 @@ thread count. Both decisions are CosineKeys methods that walk the same upper
 block triangle: `peer_counts` (density's `cosine > alpha`) and `nearest`
 (aggregation's k-NN order). Each decides in three tiers: a float32 GEMM of
 unit rows with a rigorous error bound, a float64 recheck of the few entries
-the bound leaves open, and an exact integer comparison for those still open.
+the bound leaves open, and the exact sign(cos) cos^2, a fraction, for the rest.
 """
 
 import math
-from functools import cmp_to_key
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def check_finite(arr, name="array"):
 
 
 def check_attention_vector(scores, name="attention"):
-    """Validate a CLS->patch attention vector: finite, nonnegative, not all zero."""
+    """Validate a CLS->patch attention vector: finite, nonnegative, not all zero, finite sum."""
     v = as_vector(scores, name)
     if v.size == 0:
         raise EmptyInputError(f"{name} is empty")
@@ -62,6 +63,9 @@ def check_attention_vector(scores, name="attention"):
         raise DimensionMismatchError(f"{name} has a negative entry at index {bad}")
     if not np.any(v > 0):
         raise EmptyInputError(f"{name} has no positive entry")
+    with np.errstate(over="ignore"):  # inf on overflow; a finite sum keeps every cumsum finite
+        if not np.isfinite(v.sum()):
+            raise NonFiniteValueError(f"{name} sums past the float64 range")
     return v
 
 
@@ -159,27 +163,6 @@ def cosine_error_bound(d, precision):
     delta = rho + eta * math.sqrt(d)
     gamma = _gamma(d, u_gemm)
     return ((2 * delta + delta * delta) * (1 + gamma) + gamma + d * eta) * (1 + 2.0**-20)
-
-
-def _integer_rows(k):
-    """Rows as integers: k[r] == ints[r] * 2**e[r] exactly, for some e[r] per row.
-
-    Each entry is an odd integer times a power of two; a row is scaled so its
-    smallest power is 1. The result is int64 when every dot product of two
-    rows fits in it (small integers, as in lattice keys), else Python ints.
-    float32 rows are upcast first, exactly.
-    """
-    k = np.asarray(k, dtype=np.float64)
-    mantissa, exponent = np.frexp(k)  # k = mantissa * 2**exponent, 53-bit mantissa
-    ints = (mantissa * 2.0**53).astype(np.int64)
-    low = ints & -ints  # the lowest set bit, 0 for a zero entry
-    odd = np.where(ints != 0, ints // np.maximum(low, 1), 0)
-    power = exponent + np.log2(np.maximum(low, 1)).astype(np.int64)
-    power = np.where(ints != 0, power, np.iinfo(np.int64).max)
-    shift = np.where(ints != 0, power - power.min(axis=1, keepdims=True), 0)
-    if (np.abs(odd) * np.exp2(np.minimum(shift, 64))).max() ** 2 * k.shape[1] < 2.0**62:
-        return odd << shift
-    return odd.astype(object) << shift.astype(object)
 
 
 class CosineKeys:
@@ -316,45 +299,39 @@ class CosineKeys:
     def _exceeds(self, i, j, alpha):
         """Exact `cosine > alpha` for the row pairs (i[t], j[t]).
 
-        `cosines` decides the pairs more than eps64 from alpha. The rest
-        compare sign(a.b) (a.b)^2 with sign(alpha) alpha^2 |a|^2 |b|^2 in
-        integers, which needs no square root; the powers of two cancel.
+        `cosines` decides the pairs more than eps64 from alpha; the rest
+        compare _exact with sign(alpha) alpha^2, which orders as the cosine.
         """
         cos = self.cosines(i, j)
         out = cos > alpha
         still = np.flatnonzero(~(np.abs(cos - alpha) > self.eps64))
-        if still.size:
-            need, where = np.unique(np.concatenate([i[still], j[still]]), return_inverse=True)
-            ints = _integer_rows(self.keys[need])
-            squares = (ints * ints).sum(axis=1).astype(object)
-            a, b = where[: still.size], where[still.size :]
-            dots = (ints[a] * ints[b]).sum(axis=1).astype(object)
-            p, q = float(alpha).as_integer_ratio()
-            out[still] = dots * np.abs(dots) * (q * q) > p * abs(p) * squares[a] * squares[b]
+        a = Fraction(float(alpha))
+        bar = a * abs(a)
+        out[still] = [x > bar for x in self._exact(i[still], j[still])]
         return out
 
     def _exact_order(self, row, cols):
-        """`cols` ordered by (exact cosine with `row` desc, index asc).
-
-        For one row the cosine orders as the fraction sign(a.b) (a.b)^2 / |b|^2,
-        compared exactly by cross-multiplying, once per distinct key row among `cols`.
-        """
-        cols = np.asarray(cols)
-        ids = {}
-        which = [ids.setdefault(self.keys[c].tobytes(), len(ids)) for c in cols]
-        if len(ids) == 1:  # copies of one row tie
+        """The array `cols` ordered by (exact cosine with `row` desc, index asc)."""
+        if (self.keys[cols] == self.keys[cols[0]]).all():  # copies tie (-0.0 == 0.0 too)
             return np.sort(cols)
-        distinct = cols[[which.index(t) for t in range(len(ids))]]
-        ints = _integer_rows(self.keys[np.append(row, distinct)])
-        dots = (ints[1:] * ints[0]).sum(axis=1).tolist()
-        num = [x * abs(x) for x in dots]
-        den = (ints[1:] * ints[1:]).sum(axis=1).tolist()
+        exact = self._exact(np.full(cols.size, row), cols)
+        return cols[sorted(range(cols.size), key=lambda t: (-exact[t], cols[t]))]
 
-        def after(s, t):  # > 0 when cols[s] goes after cols[t]
-            a, b = which[s], which[t]
-            return (num[b] * den[a] - num[a] * den[b]) or int(cols[s] - cols[t])
+    def _exact(self, i, j):
+        """sign(cos) cos^2 of each row pair (i[t], j[t]), exactly, as a Fraction.
 
-        return cols[sorted(range(len(cols)), key=cmp_to_key(after))]
+        Each distinct row becomes Python integers once: its entries' ratios (float32
+        too, exactly, through .tolist()) scaled by their largest denominator, a power
+        of two, so the cosines are unchanged. The key-row rule keeps denominators > 0.
+        """
+        ints, squares = {}, {}
+        for r in np.union1d(i, j).tolist():
+            ratios = [x.as_integer_ratio() for x in self.keys[r].tolist()]
+            scale = max(q for _, q in ratios)
+            ints[r] = [p * (scale // q) for p, q in ratios]
+            squares[r] = sum(map(mul, ints[r], ints[r]))
+        dots = [(sum(map(mul, ints[a], ints[b])), a, b) for a, b in zip(i.tolist(), j.tolist())]
+        return [Fraction(x * abs(x), squares[a] * squares[b]) for x, a, b in dots]
 
 
 def _upper_blocks(unit, r):

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteValueError, ParseError
 
 MAGIC = b"TKZT"
 VERSION = 1
@@ -29,8 +29,16 @@ _HEADER = struct.Struct("<4sHBB")
 
 
 def write_tensor(path, array):
-    """Write an array as a float32 TKZT file."""
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Write an array as a float32 TKZT file.
+
+    A finite value beyond the float32 range raises NonFiniteValueError before
+    the file is opened; NaN and inf are written as given.
+    """
+    with np.errstate(over="raise"):
+        try:
+            arr = np.ascontiguousarray(array, dtype="<f4")
+        except FloatingPointError:
+            raise NonFiniteValueError(f"{path}: a finite value exceeds the float32 range") from None
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, DTYPE_F32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))

@@ -91,6 +91,21 @@ def test_bundle_built_in_memory_gets_the_same_checks(field, row, error):
         dataclasses.replace(b, **{field: bad})
 
 
+def test_attention_total_beyond_float64_is_refused():
+    b = _small_bundle()
+    with pytest.raises(NonFiniteValueError, match=f"{b.image_id}: attn_low sums past"):
+        dataclasses.replace(b, attn_low=np.full(b.attn_low.size, 1e308))
+
+
+def test_value_beyond_float32_is_refused_on_write(tmp_path):
+    b = _small_bundle()
+    y = np.array(b.y_last, dtype=np.float64)
+    y[0, 0] = 1e39  # finite in the bundle, inf in a float32 file, which load_bundle refuses
+    with pytest.raises(NonFiniteValueError, match="y_last.tkzt: a finite value exceeds"):
+        write_bundle(tmp_path, [dataclasses.replace(b, y_last=y)])
+    assert not list(tmp_path.glob("*y_last*"))
+
+
 def test_manifest_is_checked_before_any_tensor_is_read(tmp_path, monkeypatch):
     bundles = [dataclasses.replace(_small_bundle(seed=s), image_id=f"sub_{s}") for s in (1, 2, 3)]
     manifest = write_bundle(tmp_path, bundles)

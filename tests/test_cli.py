@@ -4,6 +4,7 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tokzip
@@ -277,6 +278,19 @@ def test_warning_is_one_line(manifest, tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("warning: ") and "attention sums to 3" in lines[0]
     assert lines[1].startswith("error: DimensionMismatchError: ")
+
+
+def test_tokens_beyond_float32_are_one_error_line(manifest, tmp_path, capsys):
+    crop = load_bundle(manifest)[0]
+    crop = dataclasses.replace(crop, attn_deep=np.full(crop.n_tokens, 1e38))
+    big = write_bundle(tmp_path / "big", [crop])
+    (tmp_path / "cfg.yaml").write_text("aggregation: {normalize_weights: false}\n")
+    out = tmp_path / "run"
+    assert main(["compress", "--manifest", str(big), "--config", str(tmp_path / "cfg.yaml"),
+                 "--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "NonFiniteValueError" in errors[0] and "float32 range" in errors[0]
+    assert not (out / "results.json").exists()
 
 
 @pytest.fixture

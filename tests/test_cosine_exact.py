@@ -156,6 +156,31 @@ def mixed_magnitude_rows(rng, n, d):
     return keys
 
 
+@pytest.mark.parametrize("kind", ["wide", "float32"])
+def test_exact_value_matches_the_reference(kind):
+    rng = np.random.default_rng(31)
+    if kind == "wide":  # 5e-324 to 1e154, near where a row's squared norm overflows
+        keys = mixed_magnitude_rows(rng, 4, 8)
+        keys[1] *= 1e100
+        wide = np.array([5e-324, -1e154, 2.5e-310, 1e-200, 3.0, -7e150, 0.0, -0.0])
+        keys = np.vstack([keys, wide, np.roll(wide, 3) * -0.5, wide[::-1]])
+    else:  # float32 rows, one with a subnormal and one near the float32 maximum
+        keys = rng.standard_normal((4, 8)).astype(np.float32)
+        keys[0, :2] = [1e-45, 3e38]
+    ck = CosineKeys(keys)
+    i, j = (a.ravel() for a in np.indices((len(keys), len(keys))))
+    gram = exact_gram(keys)
+    want = [sign_square(gram[a][b]) / (gram[a][a] * gram[b][b]) for a, b in zip(i, j)]
+    assert ck._exact(i, j) == want
+
+
+def test_signed_zero_copies_tie_without_the_exact_value(monkeypatch):
+    keys = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+    ck = CosineKeys(keys)
+    monkeypatch.setattr(CosineKeys, "_exact", lambda *args: pytest.fail("copies tie as they are"))
+    assert ck._exact_order(0, np.array([3, 2, 1])).tolist() == [1, 2, 3]
+
+
 @pytest.mark.parametrize("d", [1, 3, 1024, 4096])
 def test_filter_and_recheck_stay_within_their_bounds(d):
     rng = np.random.default_rng(d)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from tokzip import (
     merge_indices,
     select_tokens,
 )
-from tokzip.errors import EmptyInputError, InsufficientSupportError
+from tokzip.errors import EmptyInputError, InsufficientSupportError, NonFiniteValueError
 from tokzip.harness import chi2_sf, oracle_global_select
 
 
@@ -102,6 +103,13 @@ class TestLocalSelect:
 
         freq = first_draw_frequency([0.7, 0.2, 0.1], 0, 20_000, seed=3)
         assert freq == pytest.approx(0.7, abs=0.02)
+
+    def test_total_beyond_float64_is_refused(self):
+        # An inf cumsum would clamp every draw to the last index.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a numpy overflow warning first
+            with pytest.raises(NonFiniteValueError, match="attn_low sums past the float64 range"):
+                local_select([1e308, 1e308, 1.0], 1, SelectionConfig(seed=0))
 
     def test_subnormal_total_draws_no_zero_score_or_duplicate(self):
         # u = rng.random() * cum[-1] can round up to a subnormal cum[-1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokzip import read_tensor, write_tensor
-from tokzip.errors import ParseError
+from tokzip.errors import NonFiniteValueError, ParseError
 from tokzip.tensorfile import MAGIC, VERSION
 
 
@@ -69,3 +69,15 @@ def test_corrupted_headers(tmp_path, mangle, msg):
         read_tensor(path)
     assert msg in str(exc.value)
     assert str(path) in str(exc.value)
+
+
+def test_finite_value_beyond_float32_is_refused_before_writing(tmp_path):
+    path = tmp_path / "big.tkzt"
+    with pytest.raises(NonFiniteValueError, match="float32 range") as exc:
+        write_tensor(path, np.array([1.0, -1e39]))
+    assert str(path) in str(exc.value)
+    assert not path.exists()
+    # NaN and inf are written as given (loader tests need them); underflow is no overflow.
+    write_tensor(path, np.array([np.nan, np.inf, -np.inf, 1e-50]))
+    back = read_tensor(path)
+    assert np.isnan(back[0]) and back[1:].tolist() == [np.inf, -np.inf, 0.0]
