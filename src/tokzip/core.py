@@ -22,7 +22,7 @@ from .errors import (DimensionMismatchError, EmptyInputError, NeighborCountExcee
 ZERO_NORM_EPS = 1e-12
 
 # Rows per block in the O(N^2) kernels (density, aggregation): a block's
-# similarities take BLOCK_ROWS x N float64, whatever N is.
+# similarities take BLOCK_ROWS x N float32, whatever N is.
 BLOCK_ROWS = 256
 
 
@@ -73,9 +73,13 @@ def key_row_norms(keys, name="key"):
     """Row norms of a key matrix, each finite and at least ZERO_NORM_EPS: the key-row rule.
 
     Squares are summed in float64, BLOCK_ROWS rows at a time, so float32 keys
-    give the same norms as their float64 upcast. A NaN or inf entry, or an
-    overflow, raises NonFiniteValueError. A zero key has no direction, so
-    cosine similarity against it is undefined: ZeroRowError.
+    give the same norms as their float64 upcast. A row whose squares overflow
+    is scaled by a power of two before squaring and its norm scaled back, so
+    only a norm beyond float64 overflows. The scaling is exact except for
+    entries below 2^-1022 times the row's largest, whose squares vanish
+    beside its square anyway. A NaN or inf entry, or a norm beyond float64,
+    raises NonFiniteValueError. A zero key has no direction, so cosine
+    similarity against it is undefined: ZeroRowError.
     """
     k = as_matrix(keys, name)
     if k.shape[0] == 0:
@@ -85,6 +89,12 @@ def key_row_norms(keys, name="key"):
         for lo in range(0, k.shape[0], BLOCK_ROWS):
             block = k[lo : lo + BLOCK_ROWS].astype(np.float64, copy=False)
             norms[lo : lo + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", block, block))
+        over = np.flatnonzero(norms == np.inf)
+        if over.size:
+            block = k[over].astype(np.float64)
+            _, e = np.frexp(np.abs(block).max(axis=1))  # inf entries keep e = 0, and norm inf
+            block = np.ldexp(block, -e[:, None])
+            norms[over] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", block, block)), e)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise NonFiniteValueError(f"{name} row {int(bad[0])} has a non-finite norm")
@@ -135,7 +145,9 @@ def cosine_error_bound(d, precision):
     Derivation, with u = 2^-53 and a row a whose norm is at least
     ZERO_NORM_EPS. The float64 norm (a sum of d squares in any order, then a
     square root) is |a| (1 + theta_a) with |theta_a| <= theta = gamma_{d+1}
-    plus the underflow of squares, 4 d 2^-1022 / ZERO_NORM_EPS^2. A computed
+    plus the underflow of squares, 4 d 2^-1022 / ZERO_NORM_EPS^2 (a row that
+    key_row_norms scales by a power of two has a scaled norm of at least 1/2,
+    so its scaling's and squares' underflow fit in that term). A computed
     unit entry is v_t = a_t / |a| (1 + rho_t) + eta_t: the division and the
     float32 cast (roundoff u_c = 2^-24; 0 in the recheck) give
     |rho_t| <= rho = (u + u_c + u u_c + theta) / (1 - theta), and underflow gives
@@ -194,29 +206,54 @@ class CosineKeys:
                       casting="same_kind")
         return unit
 
-    def peer_counts(self, alpha, count_self=False):
-        """Per row, how many rows have an exact cosine above alpha with it.
+    def peer_counts(self, alpha, count_self=False, cap=None):
+        """Per row, how many rows have an exact cosine above alpha with it, at most cap.
 
-        count_self counts the row itself among them. A float32 similarity
-        more than eps from alpha decides its entry; the thresholds are
-        stepped one float32 ulp outward, since a float32 array compares with
-        a Python float in float32 (NEP 50). _exceeds decides the rest. Each
-        block's counts go to its rows and, transposed, to the later columns.
+        count_self counts the row itself among them; cap=None counts exactly.
+        A float32 similarity more than eps from alpha decides its entry; the
+        thresholds are stepped one float32 ulp outward, since a float32 array
+        compares with a Python float in float32 (NEP 50). _exceeds decides
+        the rest. The walk is _upper_blocks's: each block of rows against
+        itself and every later row, its counts going to its rows and,
+        transposed, to the later columns.
+
+        A row whose count has reached cap when its block starts is decided.
+        Once half a block's rows are decided, only its undecided rows are
+        multiplied with the block and every later row, and its decided rows
+        with the later rows still below cap only: a pair of rows that have
+        both reached cap is skipped. A row below cap is never decided, so it gets every pair, and
+        every other row reaches cap: min(count, cap) depends neither on
+        BLOCK_ROWS nor on the order of the rows.
         """
-        counts = np.zeros(self.keys.shape[0], dtype=np.intp)
+        n = self.keys.shape[0]
+        counts, ids, unit = np.zeros(n, dtype=np.intp), np.arange(n), self._unit_rows()
         above = np.nextafter(np.float32(alpha + self.eps), np.float32(np.inf))
         below = np.nextafter(np.float32(alpha - self.eps), np.float32(-np.inf))
-        for lo, hi, sim in _upper_blocks(self._unit_rows(), len(counts)):
-            similar = sim > above
-            still = (sim >= below) ^ similar
+
+        def similar(a, b):  # rows a against rows b, each a slice or an index array
+            sim = similarity_matrix(unit[a], unit[b])
+            out = sim > above
+            still = (sim >= below) ^ out
             if still.any():  # np.nonzero scans the whole block; most blocks need no recheck
                 r, c = np.nonzero(still)
-                similar[r, c] = self._exceeds(r + lo, c + lo, alpha)
-            if not count_self:
-                np.fill_diagonal(similar, False)
-            counts[lo:hi] += np.count_nonzero(similar, axis=1)
-            counts[hi:] += np.count_nonzero(similar[:, hi - lo :], axis=0)
-        return counts
+                out[r, c] = self._exceeds(ids[a][r], ids[b][c], alpha)
+            return out
+
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n)
+            done = ids[:0] if cap is None else lo + np.flatnonzero(counts[lo:hi] >= cap)
+            gather = 2 * done.size >= hi - lo
+            rows = np.setdiff1d(ids[lo:hi], done, assume_unique=True) if gather else slice(lo, hi)
+            if ids[rows].size:
+                sim = similar(rows, slice(lo, n))
+                if not count_self:
+                    sim[np.arange(len(sim)), ids[rows] - lo] = False
+                counts[rows] += np.count_nonzero(sim, axis=1)
+                counts[hi:] += np.count_nonzero(sim[:, hi - lo :], axis=0)
+            later = hi + np.flatnonzero(counts[hi:] < cap) if gather else ids[:0]
+            if later.size:
+                counts[later] += np.count_nonzero(similar(done, later), axis=0)
+        return counts if cap is None else np.minimum(counts, cap)
 
     def nearest(self, rows, knn_k):
         """Each row's knn_k most similar other rows, most similar first.

@@ -2,8 +2,11 @@
 
 A token counts as redundant when strictly more than ``limit_k`` other tokens
 have cosine similarity strictly above ``alpha`` with it; core.CosineKeys
-decides each similarity exactly. The density of a sub-image is the fraction
-of non-redundant tokens and later doubles as its local-branch sampling ratio.
+decides each similarity exactly. Only that fact is used, so peers are counted
+up to ``limit_k + 1``: a pair of two tokens that both have more than
+``limit_k`` peers is skipped, and density costs less the more redundant a
+sub-image is. The density of a sub-image is the fraction of non-redundant
+tokens and later doubles as its local-branch sampling ratio.
 """
 
 from dataclasses import dataclass
@@ -57,9 +60,11 @@ def compute_density(keys, cfg=DensityConfig()):
     """Count similar peers per token and report redundancy r and density d = 1 - r.
 
     Comparisons are strict ("> alpha", "> limit_k") exactly as stated, on the
-    exact cosine of the key rows: CosineKeys.peer_counts counts them, taking
-    each pair once, with no N x N matrix formed. `keys` is a key matrix, or
-    the CosineKeys prepared from one, such as a SubImageBundle's cosine_low.
+    exact cosine of the key rows: CosineKeys.peer_counts counts them up to
+    limit_k + 1, taking each pair at most once, with no N x N matrix formed.
+    `keys` is a key matrix, or the CosineKeys prepared from one, such as a
+    SubImageBundle's cosine_low.
     """
     keys = keys if isinstance(keys, CosineKeys) else CosineKeys(keys)
-    return DensityReport(redundant_mask=keys.peer_counts(cfg.alpha, cfg.count_self) > cfg.limit_k)
+    counts = keys.peer_counts(cfg.alpha, cfg.count_self, cap=cfg.limit_k + 1)
+    return DensityReport(redundant_mask=counts > cfg.limit_k)

@@ -261,7 +261,16 @@ def _density_equivalence(rng, n_instances):
     keys = _clustered_keys(rng, 2 * BLOCK_ROWS + 37, 16, 20)
     if not _density_matches(keys, 0.8, 25, False):
         return _check("density_oracle", False, "mismatch at the multi-block instance")
-    return _check("density_oracle", True, f"{n_instances + 1} instances, exact match")
+    # Clusters of ~180 tokens against limit_k=5: after the first block most
+    # tokens have more than limit_k peers, so the later blocks skip their
+    # pairs. ~30% are scattered further, so some of them count their peers
+    # among the later tokens of a cluster only.
+    keys = _clustered_keys(rng, 2 * BLOCK_ROWS + 37, 16, 3)
+    loose = rng.random(len(keys)) < 0.3
+    keys[loose] += 0.8 * rng.standard_normal((int(loose.sum()), 16))
+    if not _density_matches(keys, 0.8, 5, False):
+        return _check("density_oracle", False, "mismatch at the early-stop instance")
+    return _check("density_oracle", True, f"{n_instances + 2} instances, exact match")
 
 
 def _iqr_equivalence(rng, n_instances):

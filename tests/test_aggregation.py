@@ -224,6 +224,33 @@ def test_nearest_takes_each_retained_pair_once(decision, monkeypatch):
     assert sum(entries) < n * n * 2 / 3  # every row against all N would take n * n
 
 
+@pytest.mark.parametrize("clustered", [False, True])
+def test_capped_peer_counts_skip_pairs_of_decided_rows(clustered, monkeypatch):
+    entries = []
+
+    def counting(a, b=None, _real=tokzip.core.similarity_matrix):
+        sim = _real(a, b)
+        entries.append(sim.size)
+        return sim
+
+    monkeypatch.setattr(tokzip.core, "similarity_matrix", counting)
+    n = 4 * BLOCK_ROWS
+    rng = np.random.default_rng(9)
+    keys = rng.standard_normal((n, 64))
+    if clustered:  # 90% of the rows in two tight clusters, so past the first block most are decided
+        near = rng.random(n) < 0.9
+        keys[near] = rng.standard_normal((2, 64))[rng.integers(0, 2, near.sum())] + 0.1 * keys[near]
+    ck = CosineKeys(keys)
+    ck.peer_counts(0.5)
+    exact = sum(entries)
+    entries.clear()
+    ck.peer_counts(0.5, cap=51)
+    if clustered:  # the first block, never skipped, is 40% of the walk
+        assert sum(entries) <= exact / 2
+    else:  # no row reaches cap: the same walk
+        assert sum(entries) == exact
+
+
 def test_all_zero_group_weights_average_uniformly(lattice_keys):
     rng = np.random.default_rng(6)
     n, d = BLOCK_ROWS + 1, 8

@@ -36,10 +36,14 @@ class TestNormalizeRows:
         np.testing.assert_allclose(normalize_rows(once), once, atol=1e-6)
 
     @pytest.mark.filterwarnings("error")  # one fault, one error: no overflow warning first
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                     pytest.param(None, id="norm_beyond_float64")])
     def test_non_finite_norm_rejected(self, rng, bad):
-        k = rng.standard_normal((5, 4))
-        k[3, 1] = bad  # 1e200 squared overflows, so its norm is inf
+        k = rng.standard_normal((5, 1024))
+        if bad is None:
+            k[3] = 1e308  # finite entries, but a norm of 3.2e309, beyond float64
+        else:
+            k[3, 1] = bad
         with pytest.raises(DimensionMismatchError, match="key row 3"):
             normalize_rows(k)
 
@@ -132,6 +136,18 @@ def test_key_row_norms_are_the_same_on_float32_and_its_upcast(rng):
     up = keys.astype(np.float64)
     unblocked = np.sqrt(np.einsum("ij,ij->i", up, up))
     assert key_row_norms(keys).tobytes() == key_row_norms(up).tobytes() == unblocked.tobytes()
+
+
+def test_rows_whose_squares_overflow_keep_a_finite_norm(rng):
+    assert CosineKeys(np.array([[1e300, 0.0], [0.0, 1.0]])).norms.tolist() == [1e300, 1.0]
+    keys = rng.standard_normal((BLOCK_ROWS + 5, 8))
+    huge = keys.copy()
+    huge[[3, BLOCK_ROWS + 2]] *= 2.0**1000  # scaling by a power of two scales the norm exactly
+    want = key_row_norms(keys)
+    got = key_row_norms(huge)
+    assert np.ldexp(want[[3, BLOCK_ROWS + 2]], 1000).tolist() == got[[3, BLOCK_ROWS + 2]].tolist()
+    rest = np.setdiff1d(np.arange(len(keys)), [3, BLOCK_ROWS + 2])
+    assert got[rest].tobytes() == want[rest].tobytes()
 
 
 def test_float32_keys_get_no_float64_copy(rng):

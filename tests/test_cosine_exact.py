@@ -159,10 +159,10 @@ def mixed_magnitude_rows(rng, n, d):
 @pytest.mark.parametrize("kind", ["wide", "float32"])
 def test_exact_value_matches_the_reference(kind):
     rng = np.random.default_rng(31)
-    if kind == "wide":  # 5e-324 to 1e154, near where a row's squared norm overflows
+    if kind == "wide":  # 5e-324 to 1e300, past where a row's squared norm overflows
         keys = mixed_magnitude_rows(rng, 4, 8)
         keys[1] *= 1e100
-        wide = np.array([5e-324, -1e154, 2.5e-310, 1e-200, 3.0, -7e150, 0.0, -0.0])
+        wide = np.array([5e-324, -1e300, 2.5e-310, 1e-200, 3.0, -7e296, 0.0, -0.0])
         keys = np.vstack([keys, wide, np.roll(wide, 3) * -0.5, wide[::-1]])
     else:  # float32 rows, one with a subnormal and one near the float32 maximum
         keys = rng.standard_normal((4, 8)).astype(np.float32)
@@ -191,7 +191,7 @@ def test_filter_and_recheck_stay_within_their_bounds(d):
     if d > 1:
         keys[3] = np.where(np.arange(d) % 2, keys[0], 0.0)  # row 0 in part
         keys[3, 0] = keys[0, 0]
-    keys[4] *= 1e100  # beyond float32: the keys must not be cast before dividing
+    keys[4] *= 1e270  # beyond float32, so keys are not cast before dividing; squares overflow
     ck = CosineKeys(keys)
     unit = ck._unit_rows()
     sim = similarity_matrix(unit, unit)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokzip.core
 from tokzip import DensityConfig, compute_density, normalize_rows, similarity_matrix
 from tokzip.core import BLOCK_ROWS, CosineKeys
 from tokzip.errors import ZeroRowError
@@ -148,3 +149,80 @@ def test_blocked_counts_on_gaussian_keys(rng):
     for limit_k in np.unique(counts):
         rep = compute_density(keys, DensityConfig(alpha=0.6, limit_k=int(limit_k)))
         np.testing.assert_array_equal(rep.redundant_mask, counts > limit_k)
+
+
+# ---------------------------------------------------------------------------
+# Capped counts: min(count, cap), whatever the blocks and the row order
+# ---------------------------------------------------------------------------
+
+
+def clustered_lattice_keys(rng, lattice_keys):
+    """3 * BLOCK_ROWS lattice rows: copies of at most 8 rows, a mix, then rows with few copies.
+
+    Each of the first block's rows has many copies there, so cap=4 decides
+    most of the second block, three quarters copies too, when it starts: that
+    block gathers. The last block's rows have about 8 copies each, most in
+    that block, so it does not.
+    """
+    copies = lattice_keys(rng, 64)[rng.integers(0, 64, size=7 * BLOCK_ROWS // 4)]
+    fresh = lattice_keys(rng, 5 * BLOCK_ROWS // 4)
+    middle = rng.permutation(np.vstack([copies[BLOCK_ROWS:], fresh[: BLOCK_ROWS // 4]]))
+    return np.vstack([copies[:BLOCK_ROWS], middle, fresh[BLOCK_ROWS // 4 :]])
+
+
+@pytest.mark.parametrize("count_self", [False, True])
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_capped_counts_do_not_depend_on_the_blocks(block_rows, count_self, lattice_keys,
+                                                   monkeypatch):
+    keys = clustered_lattice_keys(np.random.default_rng(block_rows), lattice_keys)
+    counts = full_matrix_peer_counts(keys, 0.5, count_self)
+    monkeypatch.setattr(tokzip.core, "BLOCK_ROWS", block_rows)
+    for cap in (1, 4, 9):
+        got = CosineKeys(keys).peer_counts(0.5, count_self, cap)
+        np.testing.assert_array_equal(got, np.minimum(counts, cap))
+
+
+@pytest.mark.parametrize("count_self", [False, True])
+def test_capped_counts_follow_a_row_permutation(count_self, lattice_keys):
+    rng = np.random.default_rng(3)
+    keys = clustered_lattice_keys(rng, lattice_keys)
+    perm = rng.permutation(len(keys))
+    want = np.minimum(full_matrix_peer_counts(keys, 0.5, count_self), 4)
+    np.testing.assert_array_equal(CosineKeys(keys[perm]).peer_counts(0.5, count_self, 4),
+                                  want[perm])
+
+
+@pytest.mark.parametrize("count_self", [False, True])
+def test_capped_counts_gather_only_mostly_decided_blocks(count_self, lattice_keys, monkeypatch):
+    keys = clustered_lattice_keys(np.random.default_rng(4), lattice_keys)
+    want = np.minimum(full_matrix_peer_counts(keys, 0.5, count_self), 4)
+    shapes = []
+
+    def recording(a, b=None, _real=tokzip.core.similarity_matrix):
+        shapes.append((len(a), len(b)))
+        return _real(a, b)
+
+    monkeypatch.setattr(tokzip.core, "similarity_matrix", recording)
+    np.testing.assert_array_equal(CosineKeys(keys).peer_counts(0.5, count_self, 4), want)
+    n = len(keys)
+    assert (BLOCK_ROWS, n) in shapes  # the first block: nothing is decided yet
+    assert (BLOCK_ROWS, n - BLOCK_ROWS) not in shapes  # the second gathers
+    assert any(a < BLOCK_ROWS and b == n - BLOCK_ROWS for a, b in shapes)
+    assert (BLOCK_ROWS, n - 2 * BLOCK_ROWS) in shapes  # the third does not
+
+
+@pytest.mark.parametrize("count_self", [False, True])
+def test_capped_counts_reach_later_rows_through_decided_rows(count_self, lattice_keys):
+    # On the lattice, cos(a, b) = cos(b, c) = 3/4 but cos(a, c) = 1/2, not above alpha.
+    # Five copies of a in the first block decide the second block's 200 copies
+    # of b when it starts, so that block gathers. The third block's copies of c
+    # have no similar row before it but those decided copies of b.
+    a, b, c = (np.isin(np.arange(16), s).astype(float) for s in ([0, 1, 2, 3], [0, 1, 2, 4],
+                                                                 [0, 1, 4, 5]))
+    rng = np.random.default_rng(8)
+    # The other rows lie on the other 10 columns, at cosine 0 to a, b and c.
+    keys = np.hstack([np.zeros((3 * BLOCK_ROWS, 6)), lattice_keys(rng, 3 * BLOCK_ROWS, 10)])
+    keys[:5], keys[BLOCK_ROWS : BLOCK_ROWS + 200], keys[-3:] = a, b, c
+    want = np.minimum(full_matrix_peer_counts(keys, 0.5, count_self), 4)
+    assert (want[-3:] == 4).all()
+    np.testing.assert_array_equal(CosineKeys(keys).peer_counts(0.5, count_self, 4), want)
