@@ -72,23 +72,20 @@ def check_attention_vector(scores, name="attention"):
 def key_row_norms(keys, name="key"):
     """Row norms of a key matrix, each finite and at least ZERO_NORM_EPS: the key-row rule.
 
-    Squares are summed in float64, BLOCK_ROWS rows at a time, so float32 keys
-    give the same norms as their float64 upcast. A row whose squares overflow
-    is scaled by a power of two before squaring and its norm scaled back, so
-    only a norm beyond float64 overflows. The scaling is exact except for
-    entries below 2^-1022 times the row's largest, whose squares vanish
-    beside its square anyway. A NaN or inf entry, or a norm beyond float64,
+    One einsum sums the squares in float64, casting float32 keys as it reads
+    them, so they give their float64 upcast's norms without a copy. A row
+    whose squares overflow is scaled by a power of two before squaring and
+    its norm scaled back, so only a norm beyond float64 overflows. The
+    scaling is exact except for entries below 2^-1022 times the row's
+    largest, whose squares vanish beside its square anyway. A NaN or inf entry, or a norm beyond float64,
     raises NonFiniteValueError. A zero key has no direction, so cosine
     similarity against it is undefined: ZeroRowError.
     """
     k = as_matrix(keys, name)
     if k.shape[0] == 0:
         raise DimensionMismatchError(f"{name} matrix has no rows")
-    norms = np.empty(k.shape[0])
     with np.errstate(over="ignore"):  # an overflowed norm is inf, refused below
-        for lo in range(0, k.shape[0], BLOCK_ROWS):
-            block = k[lo : lo + BLOCK_ROWS].astype(np.float64, copy=False)
-            norms[lo : lo + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", block, block))
+        norms = np.sqrt(np.einsum("ij,ij->i", k, k, dtype=np.float64))
         over = np.flatnonzero(norms == np.inf)
         if over.size:
             block = k[over].astype(np.float64)
@@ -213,9 +210,9 @@ class CosineKeys:
         A float32 similarity more than eps from alpha decides its entry; the
         thresholds are stepped one float32 ulp outward, since a float32 array
         compares with a Python float in float32 (NEP 50). _exceeds decides
-        the rest. The walk is _upper_blocks's: each block of rows against
-        itself and every later row, its counts going to its rows and,
-        transposed, to the later columns.
+        the rest. The walk is nearest's: each block of rows against itself
+        and every later row, its counts going to its rows and, transposed,
+        to the later columns.
 
         A row whose count has reached cap when its block starts is decided.
         Once half a block's rows are decided, only its undecided rows are
@@ -263,15 +260,16 @@ class CosineKeys:
         come in any order and repeat; any but integers in [0, N) raise IndexError.
 
         Each pair of the R distinct rows is multiplied once: with unit rows
-        built those R first, _upper_blocks takes each block of them with itself
-        and all later rows, handing later ones among the R their columns, transposed.
+        built those R first, each block of them is taken with itself and all
+        later rows, handing later ones among the R their columns, transposed.
         Each row keeps a running float32 top knn_k + 1, whole once its block
         is done. The top decides a row when each value is more than 2 eps
         above the next: every value is within eps of its exact cosine,
         whichever row of the pair computed it, and every other row is at most
-        the (knn_k + 1)-th. Any other row goes to _settle with its full row:
-        the block's columns, and the earlier ones computed again. Besides the
-        unit rows, the working set is that top and two BLOCK_ROWS x N blocks.
+        the (knn_k + 1)-th. Any other row goes to _settle with its top's
+        knn_k-th value and its full row in the walk's order: the earlier
+        columns computed again, then the block's. Besides the unit rows, the
+        working set is that top and two BLOCK_ROWS x N blocks.
         """
         n = self.keys.shape[0]
         rows = np.asarray(rows)
@@ -287,8 +285,10 @@ class CosineKeys:
         order = np.concatenate([want, np.setdiff1d(np.arange(n), want, assume_unique=True)])
         unit = self._unit_rows(order)
         top_v, top_i = np.full((r, knn_k + 1), -np.inf, np.float32), np.zeros((r, knn_k + 1), np.intp)
-        groups, cols = np.empty((r, knn_k), dtype=np.intp), np.argsort(order)  # cols: key order
-        for lo, hi, sim in _upper_blocks(unit, r):
+        groups = np.empty((r, knn_k), dtype=np.intp)
+        for lo in range(0, r, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, r)
+            sim = similarity_matrix(unit[lo:hi], unit[lo:])
             np.fill_diagonal(sim, -np.inf)  # neighbors are other rows
             _keep_top(top_v[hi:], top_i[hi:], np.ascontiguousarray(sim[:, hi - lo : r - lo].T), lo)
             _keep_top(top_v[lo:hi], top_i[lo:hi], sim, lo)
@@ -298,22 +298,24 @@ class CosineKeys:
             if still.size:
                 full = sim[still] if lo == 0 else np.hstack([
                     similarity_matrix(unit[:lo], unit[lo + still]).T, sim[still]])
-                groups[lo + still] = self._settle(want[lo + still], full[:, cols], knn_k)
+                groups[lo + still] = self._settle(want[lo + still], full, order,
+                                                  top_v[lo + still, knn_k - 1], knn_k)
         return groups[back]
 
-    def _settle(self, rows, sim, knn_k):
-        """The groups of `rows`, from their float32 similarities `sim` to all N rows.
+    def _settle(self, rows, sim, order, kth, knn_k):
+        """The groups of `rows`, from their float32 similarities `sim` to rows `order`.
 
-        The exact top knn_k of a row is among the candidates no more than 2 eps
-        below its float32 knn_k-th largest, sorted by float64 cosine; a run of
-        them each within 2 eps64 of the next is put in order by _exact_order.
+        A row's own entry in `sim` is -inf. kth is its running top's knn_k-th
+        value, within eps of its exact knn_k-th cosine whichever GEMM gave it;
+        so its exact top knn_k is among the candidates no more than 2 eps below
+        kth, sorted by float64 cosine; a run of them each within 2 eps64 of the
+        next is put in order by _exact_order.
         """
-        sim[np.arange(rows.size), rows] = -np.inf  # neighbors are other rows
-        kth = np.partition(sim, -knn_k, axis=1)[:, -knn_k].astype(np.float64) - 2 * self.eps
-        r, cand = np.nonzero(sim >= kth[:, None])  # compared in float64
+        r, cand = np.nonzero(sim >= kth.astype(np.float64)[:, None] - 2 * self.eps)  # in float64
+        cand = order[cand]
         cos = self.cosines(rows[r], cand)
-        order = np.lexsort((cand, -cos, r))
-        r, cand, cos = r[order], cand[order], cos[order]
+        by = np.lexsort((cand, -cos, r))
+        r, cand, cos = r[by], cand[by], cos[by]
         rank = np.arange(r.size) - np.searchsorted(r, r)  # place within the row
         starts = rank == 0
         starts[1:] |= cos[:-1] - cos[1:] > 2 * self.eps64
@@ -369,16 +371,6 @@ class CosineKeys:
             squares[r] = sum(map(mul, ints[r], ints[r]))
         dots = [(sum(map(mul, ints[a], ints[b])), a, b) for a, b in zip(i.tolist(), j.tolist())]
         return [Fraction(x * abs(x), squares[a] * squares[b]) for x, a, b in dots]
-
-
-def _upper_blocks(unit, r):
-    """Each block lo:hi of BLOCK_ROWS of the first r rows, and its similarities to unit[lo:].
-
-    So each pair among the first r rows is multiplied once.
-    """
-    for lo in range(0, r, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, r)
-        yield lo, hi, similarity_matrix(unit[lo:hi], unit[lo:])
 
 
 def _keep_top(top_v, top_i, sim, first):

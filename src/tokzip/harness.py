@@ -164,22 +164,25 @@ def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(),
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def _unit_rows(keys):
+    """float64 unit rows, each scaled by a power of two first, so that no square overflows."""
+    k = np.array(keys, dtype=np.float64)  # the one N x D copy: scaled and divided in place
+    _, e = np.frexp(np.maximum(k.max(axis=1), -k.min(axis=1)))
+    np.ldexp(k, -e[:, None], out=k)
+    k /= np.sqrt(np.einsum("ij,ij->i", k, k))[:, None]
+    return k
+
+
 def oracle_density(keys, alpha, limit_k, count_self=False):
     """Naive per-row threshold count; returns (n_redundant, redundant_mask)."""
-    k = np.asarray(keys, dtype=np.float64)
-    norms = np.sqrt((k * k).sum(axis=1))
-    kn = k / norms[:, None]
+    kn = _unit_rows(keys)
     n = kn.shape[0]
     mask = np.zeros(n, dtype=bool)
     for i in range(n):
-        sims = kn @ kn[i]
-        count = 0
-        for j in range(n):
-            if not count_self and j == i:
-                continue
-            if sims[j] > alpha:
-                count += 1
-        mask[i] = count > limit_k
+        similar = kn @ kn[i] > alpha
+        if not count_self:
+            similar[i] = False
+        mask[i] = np.count_nonzero(similar) > limit_k
     return int(mask.sum()), mask
 
 
@@ -201,9 +204,7 @@ def oracle_global_select(scores, iqr_factor=1.5):
 def oracle_aggregate(tokens, keys, attn, retained, knn_k, include_self=True, normalize=True):
     """Exhaustive neighbor search + explicit weighted sums, one row per index."""
     y = np.asarray(tokens, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    norms = np.sqrt((k * k).sum(axis=1))
-    kn = k / norms[:, None]
+    kn = _unit_rows(keys)
     n = y.shape[0]
     rows = []
     for l in sorted(int(i) for i in retained):

@@ -205,6 +205,29 @@ def test_nearest_answers_rows_in_the_callers_order(lattice_keys):
             CosineKeys(keys).nearest(bad, 3)
 
 
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_nearest_does_not_depend_on_the_blocks(block_rows, lattice_keys, monkeypatch):
+    # Lattice copies tie at the k-th place, so rows reach _settle. At BLOCK_ROWS=1
+    # every earlier column of a row arrives by hand-off: its threshold is the running top's.
+    rng = np.random.default_rng(block_rows)
+    n = 2 * BLOCK_ROWS + 3
+    keys = lattice_keys(rng, n)
+    rows = rng.permutation(n)[: BLOCK_ROWS + 7]
+    rows[-1] = rows[3]
+    settled = []
+
+    def recording(self, open_rows, *args, _real=CosineKeys._settle):
+        settled.append(open_rows.size)
+        return _real(self, open_rows, *args)
+
+    monkeypatch.setattr(CosineKeys, "_settle", recording)
+    monkeypatch.setattr(tokzip.core, "BLOCK_ROWS", block_rows)
+    for asked in (np.arange(n), rows):
+        want, _ = per_row_reference(np.zeros((n, 1)), keys, np.ones(n), asked, 3)
+        np.testing.assert_array_equal(CosineKeys(keys).nearest(asked, 3), want)
+    assert sum(settled) > n
+
+
 @pytest.mark.parametrize("decision", ["nearest", "peer_counts"])
 def test_nearest_takes_each_retained_pair_once(decision, monkeypatch):
     entries = []

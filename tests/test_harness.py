@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tokzip.core
+import tokzip.harness
 from tokzip import (
     DensityConfig,
     SelectionConfig,
@@ -19,7 +21,7 @@ from tokzip import (
     local_sample_count,
 )
 from tokzip.errors import InfeasibleSpecError
-from tokzip.harness import chi2_sf, uniform_subset_chisquare
+from tokzip.harness import chi2_sf, oracle_aggregate, oracle_density, uniform_subset_chisquare
 
 
 class TestGenerate:
@@ -133,6 +135,34 @@ class TestBaselines:
                                                                   ratio=ratio))
         assert res.retained_indices.tolist() == adaptive.retained_indices.tolist()
         assert res.retained_indices.size == 1 and res.branch_provenance == ["fallback"]
+
+
+class TestOracles:
+    def test_density_oracle_takes_rows_whose_squares_overflow(self):
+        keys = np.array([[1e300, 1e300], [1.0, 1.0]])
+        n, mask = oracle_density(keys, 0.5, 0)
+        assert (n, mask.tolist()) == (2, [True, True])
+        want = compute_density(keys, DensityConfig(alpha=0.5, limit_k=0)).redundant_mask
+        assert mask.tolist() == want.tolist()
+
+    def test_aggregation_oracle_is_scale_free(self, rng):
+        y, keys, attn = rng.standard_normal((12, 4)), rng.standard_normal((12, 6)), rng.random(12)
+        scaled = keys.copy()
+        scaled[5] *= 2.0**1000  # its squares overflow float64
+        want = oracle_aggregate(y, keys, attn, [0, 5, 9], 3)
+        np.testing.assert_array_equal(oracle_aggregate(y, scaled, attn, [0, 5, 9], 3), want)
+
+    def test_oracles_call_nothing_they_check(self, rng, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("an oracle called the code it checks")
+
+        for module in (tokzip.core, tokzip.harness):
+            for name in ("CosineKeys", "key_row_norms", "similarity_matrix"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        y, keys, attn = rng.standard_normal((20, 4)), rng.standard_normal((20, 6)), rng.random(20)
+        oracle_density(keys, 0.2, 1)
+        oracle_aggregate(y, keys, attn, [1, 7], 2)
 
 
 class TestChi2Sf:
