@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.composer import Composer
 
 from .errors import MultipleGlobalImagesError, ParseError, TokzipError
 from .pipeline import SubImageBundle, is_int_pair
@@ -28,12 +29,34 @@ TENSOR_FIELDS = ("y_last", "keys_low", "attn_low", "keys_deep", "attn_deep")
 RESULTS_INDEX = "results.json"
 
 
+# The loader read_yaml parses with: SafeLoader, or libyaml's scanner and parser
+# where PyYAML was built with them, which read a manifest some 6x faster.
+YAML_LOADER = yaml.SafeLoader
+if hasattr(yaml, "CSafeLoader"):
+    class LibyamlSafeLoader(Composer, yaml.CSafeLoader):
+        """CSafeLoader with PyYAML's Python composer in place of its C one.
+
+        The C composer recurses on the C stack: input nested about 25,000
+        levels deep (50 kB of "- ") crashes the interpreter. The Python one
+        stops at the recursion limit with a RecursionError, which read_yaml
+        reports. Both build the same nodes from the same events.
+        """
+
+        def __init__(self, stream):
+            yaml.CSafeLoader.__init__(self, stream)
+            Composer.__init__(self)
+
+    YAML_LOADER = LibyamlSafeLoader
+
+
 def read_yaml(path, what):
     """Parse a YAML file; unreadable files and bad YAML raise a one-line ParseError."""
     try:
-        return yaml.safe_load(Path(path).read_bytes())  # bad UTF-8 is a YAMLError
+        return yaml.load(Path(path).read_bytes(), Loader=YAML_LOADER)  # bad UTF-8 is a YAMLError
     except OSError as e:
         raise ParseError(f"cannot read {what}: {e.strerror}", str(path)) from e
+    except RecursionError:
+        raise ParseError("invalid YAML: nested too deeply", str(path)) from None
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -238,6 +261,8 @@ def _read_json_mapping(path, what):
         doc = json.loads(Path(path).read_text())
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"invalid JSON: {e}", str(path)) from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", str(path)) from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} must be a JSON object", str(path))
     return doc

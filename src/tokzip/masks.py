@@ -28,15 +28,21 @@ PROVENANCE_LEVEL = {
 
 
 def write_pgm(path, grid, scale=1):
-    """Write a uint8 2-D array as an ASCII PGM, upscaled by an integer factor."""
+    """Write a uint8 2-D array as an ASCII PGM, upscaled by an integer factor.
+
+    Each cell is a scale x scale block of its value. A distinct value's run of
+    scale pixels is formatted once, and each grid row's line is joined once
+    and written scale times, so no pixel is formatted on its own.
+    """
     g = np.asarray(grid, dtype=np.uint8)
     if g.ndim != 2:
         raise ValueError("grid must be 2-D")
     if not 1 <= scale <= MAX_SCALE:
         raise ValueError(f"scale must be in [1, {MAX_SCALE}]")
-    g = np.repeat(np.repeat(g, scale, axis=0), scale, axis=1)
-    lines = ["P2", f"{g.shape[1]} {g.shape[0]}", "255"]
-    lines += [" ".join(map(str, row)) for row in g.tolist()]
+    cells = {v: " ".join([str(v)] * scale) for v in np.unique(g).tolist()}
+    lines = ["P2", f"{g.shape[1] * scale} {g.shape[0] * scale}", "255"]
+    for row in g.tolist():
+        lines += [" ".join([cells[v] for v in row])] * scale
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -42,7 +42,7 @@ def write_tensor(path, array):
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, DTYPE_F32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
+        f.write(arr.data)  # the contiguous buffer itself, not a copy
 
 
 def read_tensor(path):

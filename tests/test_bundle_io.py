@@ -1,11 +1,13 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 import tokzip.bundle_io
-from tokzip.bundle_io import read_manifest
+from tokzip.bundle_io import read_manifest, read_yaml
 from tokzip import (
     SyntheticSpec,
     compress_document,
@@ -187,3 +189,83 @@ def test_repeated_file_stem_refused(tmp_path):
         write_results(tmp_path / "out", unnamed, results, {"seed": 0})
     assert not (tmp_path / "out").exists() and not (tmp_path / "in").exists()
 
+
+# read_yaml's two loaders; the libyaml one exists where PyYAML was built with libyaml.
+LOADERS = {"python": yaml.SafeLoader,
+           "libyaml": getattr(tokzip.bundle_io, "LibyamlSafeLoader", None)}
+
+# YAML a manifest or config may use beyond what write_bundle emits.
+RICH_YAML = """\
+base: &base {dataset: docs, grid_shape: [24, 24], is_global: no}
+subimages:
+  - <<: *base
+    image_id: 'crop "0"'
+    crop_position: [0x10, 1_000]
+    note: |
+      two
+      lines
+  - {<<: *base, image_id: "tab\\there", is_global: yes, ratio: .nan, span: -.inf, tag: !!str 5}
+empty: ~
+when: 2001-12-14
+"""
+
+
+@pytest.fixture(params=sorted(LOADERS))
+def loader(request, monkeypatch):
+    """read_yaml with each loader in turn."""
+    cls = LOADERS[request.param]
+    if cls is None:
+        pytest.skip("PyYAML was built without libyaml (no yaml.CSafeLoader)")
+    monkeypatch.setattr(tokzip.bundle_io, "YAML_LOADER", cls)
+    return cls
+
+
+@pytest.fixture(scope="module")
+def seed_manifests(tmp_path_factory):
+    """The doc576 manifests the benchmark writes at seeds 1 and 2, without their tensors."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_perfbench_docgen",
+                                                  root / "perfbench" / "docgen.py")
+    docgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(docgen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokzip.bundle_io, "write_tensor", lambda path, array: None)
+        return [write_bundle(tmp_path_factory.mktemp(f"seed{seed}"),
+                             docgen.make_document("doc576", seed)) for seed in (1, 2)]
+
+
+def test_loaders_build_equal_objects(loader, seed_manifests, tmp_path):
+    rich = tmp_path / "rich.yaml"
+    rich.write_text(RICH_YAML)
+    notes = write_bundle(tmp_path / "notes", [_small_bundle()], notes={"head_reduction": "mean"})
+    for path in [*seed_manifests, rich, notes]:
+        want = yaml.load(path.read_bytes(), Loader=yaml.SafeLoader)
+        got = read_yaml(path, "manifest")
+        assert repr(got) == repr(want)  # repr tells True from 1 and keeps nan comparable
+    for path in seed_manifests:
+        assert len(read_manifest(path)) == 10
+
+
+def test_error_in_the_text_keeps_its_mark(loader, tmp_path):
+    p = tmp_path / "bad.yaml"
+    p.write_text("a: b: c\n")
+    with pytest.raises(ParseError, match="invalid YAML at line 1, column 5: mapping values are not"):
+        read_yaml(p, "manifest")
+
+
+def test_error_at_the_end_of_the_stream_is_one_line(loader, tmp_path):
+    p = tmp_path / "bad.yaml"
+    p.write_text("a: [1, 2")  # the mark differs between loaders: line 1, column 9 or line 2, column 1
+    with pytest.raises(ParseError, match="invalid YAML at line ") as exc:
+        read_yaml(p, "manifest")
+    assert len(str(exc.value).splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["- " * 3000 + "1", "[" * 5000, "[" * 3000 + "]" * 3000,
+                                  "a:\n" + "".join(" " * i + "b:\n" for i in range(1, 1500))],
+                         ids=["block_sequence", "open_flow", "closed_flow", "block_mapping"])
+def test_deep_nesting_is_a_parse_error(loader, text, tmp_path):
+    p = tmp_path / "deep.yaml"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="invalid YAML: nested too deeply"):
+        read_yaml(p, "manifest")

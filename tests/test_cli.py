@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -247,6 +250,11 @@ BAD_INPUTS = {
     "masks_negative_retained_index": ({"results.json": ONE_META, "m.json": NEGATIVE_INDEX_META},
                                       "masks --manifest {manifest} --results {t}/results.json "
                                       "--out {t}/o"),
+    "manifest_nested_too_deeply": ({"m.yaml": "- " * 3000 + "1"},
+                                   "compress --manifest {t}/m.yaml --out {t}/o"),
+    "config_nested_too_deeply": ({"c.yaml": "- " * 3000 + "1"},
+                                 "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "results_nested_too_deeply": ({"r.json": "[" * 100000}, "stats --results {t}/r.json --out {t}/o"),
 }
 
 
@@ -266,6 +274,20 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert not list(tmp_path.glob("escaped*"))
     if case == "last_tensor_in_last_entry":  # the good run's index would list new and old files
         assert not (tmp_path / "run" / "results.json").exists()
+    if case.endswith("_nested_too_deeply"):
+        assert "nested too deeply" in err
+
+
+def test_nesting_deeper_than_the_c_stack_is_one_error_line(tmp_path):
+    """100,000 levels overflow libyaml's own composer; the process must still exit 1."""
+    (tmp_path / "m.yaml").write_text("- " * 100000 + "1")
+    src = Path(tokzip.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "tokzip.cli", "density", "--manifest",
+                           str(tmp_path / "m.yaml")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [f"error: ParseError: {tmp_path / 'm.yaml'}: "
+                                        "invalid YAML: nested too deeply"]
 
 
 def test_warning_is_one_line(manifest, tmp_path, capsys):

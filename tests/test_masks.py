@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,39 @@ def test_write_pgm_scaling(tmp_path):
     img = _read_pgm(p)
     assert img.shape == (3, 6)
     assert (img[:, :3] == 0).all() and (img[:, 3:] == 255).all()
+
+
+def _per_pixel_pgm(path, grid, scale):
+    """The reference writer: the grid upscaled by np.repeat, then one str() per pixel."""
+    g = np.asarray(grid, dtype=np.uint8)
+    g = np.repeat(np.repeat(g, scale, axis=0), scale, axis=1)
+    lines = ["P2", f"{g.shape[1]} {g.shape[0]}", "255"]
+    lines += [" ".join(map(str, row)) for row in g.tolist()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+_RNG = np.random.default_rng(0)
+PGM_GRIDS = {
+    "1x1": np.array([[128]], dtype=np.uint8),
+    "3x5_levels": _RNG.choice(np.array([0, 128, 255], dtype=np.uint8), size=(3, 5)),
+    "3x5_random": _RNG.integers(0, 256, size=(3, 5), dtype=np.uint8),
+    "24x24_levels": _RNG.choice(np.array([0, 128, 255], dtype=np.uint8), size=(24, 24)),
+    "24x24_random": _RNG.integers(0, 256, size=(24, 24), dtype=np.uint8),
+    "48x48_levels": _RNG.choice(np.array([0, 128, 255], dtype=np.uint8), size=(48, 48)),
+    "48x48_random": _RNG.integers(0, 256, size=(48, 48), dtype=np.uint8),
+    "list_of_lists": [[0, 128, 255], [255, 7, 0]],
+}
+
+
+PGM_CASES = ([(name, scale) for name in sorted(PGM_GRIDS) for scale in (1, 2, 7)]
+             + [(name, MAX_SCALE) for name in ("1x1", "3x5_random", "list_of_lists")])
+
+
+@pytest.mark.parametrize("name,scale", PGM_CASES)
+def test_write_pgm_matches_the_per_pixel_writer(name, scale, tmp_path):
+    write_pgm(tmp_path / "fast.pgm", PGM_GRIDS[name], scale)
+    _per_pixel_pgm(tmp_path / "ref.pgm", PGM_GRIDS[name], scale)
+    assert (tmp_path / "fast.pgm").read_bytes() == (tmp_path / "ref.pgm").read_bytes()
 
 
 def test_write_pgm_refuses_a_scale_past_the_bound(tmp_path):

@@ -35,6 +35,24 @@ def test_many_random_round_trips(tmp_path, rng):
         assert arr.tobytes() == back.tobytes()
 
 
+@pytest.mark.parametrize("make", [
+    lambda a: a,
+    lambda a: np.asfortranarray(a),
+    lambda a: a[:, ::2],
+    lambda a: a.astype(">f8"),
+    lambda a: a.astype(np.float64).T,
+    lambda a: a[0, 0],
+    lambda a: a[:0],
+], ids=["float32", "fortran", "strided", "big_endian_f64", "f64_transposed", "scalar", "empty"])
+def test_file_is_header_then_row_major_float32(make, tmp_path, rng):
+    arr = make(rng.standard_normal((4, 6)).astype(np.float32))
+    want = np.ascontiguousarray(arr, dtype="<f4")
+    write_tensor(tmp_path / "t.tkzt", arr)
+    data = (tmp_path / "t.tkzt").read_bytes()
+    header = struct.pack("<4sHBB", MAGIC, VERSION, 1, want.ndim)
+    assert data == header + struct.pack(f"<{want.ndim}I", *want.shape) + want.tobytes()
+
+
 def test_header_is_little_endian_layout(tmp_path):
     path = tmp_path / "h.tkzt"
     write_tensor(path, np.array([[1.5]], dtype=np.float32))
