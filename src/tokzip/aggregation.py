@@ -10,8 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLOCK_ROWS, CosineKeys, as_matrix, check_attention_vector
+from .core import CosineKeys, as_matrix, check_attention_vector
 from .errors import DimensionMismatchError, EmptyRetentionError
+
+# Rows per group-sum block: one block's float64 gather, SUM_ROWS x
+# (knn_k + 1) x D, is 0.5 MiB at knn_k = 3 and D = 1024.
+SUM_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -46,11 +50,12 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     refuses others with IndexError, so a bool mask is not read as indices.
 
     One CosineKeys.nearest call per sub-image finds every group, taking
-    each retained pair's similarity once; groups are summed in blocks of at
-    most BLOCK_ROWS. Besides the R x D output and the N x D float32 unit
-    keys, the working set is the R x (knn_k + 1) running top of `nearest`
-    and two BLOCK_ROWS x N blocks of similarities, then a
-    BLOCK_ROWS x (knn_k + 1) x D float64 gather of group tokens.
+    each retained pair's similarity once; the groups and their weights are
+    built for all retained rows at once, R x (knn_k + 1) each, and summed in
+    blocks of SUM_ROWS rows. Besides the R x D output, the working set is
+    that of `nearest` (the N x D float32 unit keys, its R x (knn_k + 1)
+    running top and two BLOCK_ROWS x N blocks of similarities), then a
+    SUM_ROWS x (knn_k + 1) x D float64 gather of group tokens.
     float32 tokens stay float32 until they are gathered; the upcast is
     exact, so the output is that of their float64 upcast, bit for bit.
     """
@@ -68,17 +73,18 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     # The output outlives the unit rows that `nearest` builds, so it is
     # allocated first: the other order raises the process's peak RSS.
     out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
-    neighbors = keys.nearest(retained, cfg.knn_k)
-    for lo in range(0, retained.size, BLOCK_ROWS):
-        rows, groups = retained[lo : lo + BLOCK_ROWS], neighbors[lo : lo + BLOCK_ROWS]
-        if cfg.include_self:
-            groups = np.concatenate([rows[:, None], groups], axis=1)
-        w = weights_full[groups]
-        if cfg.normalize_weights:
-            total = w.sum(axis=1, keepdims=True)
-            w = np.divide(w, total, out=np.full(w.shape, 1.0 / w.shape[1]), where=total > 0)
-        # Batched matmul reproduces a per-row `w @ y[group]` bit for bit; einsum does not.
-        # The gather is a temporary, so it is freed before the next block's.
-        out[lo : lo + rows.size] = np.matmul(
-            w[:, None, :], y[groups].astype(np.float64, copy=False))[:, 0, :]
+    groups = keys.nearest(retained, cfg.knn_k)
+    if cfg.include_self:
+        groups = np.concatenate([retained[:, None], groups], axis=1)
+    w = weights_full[groups]
+    if cfg.normalize_weights:
+        total = w.sum(axis=1, keepdims=True)
+        w = np.divide(w, total, out=np.full(w.shape, 1.0 / w.shape[1]), where=total > 0)
+    # Batched matmul reproduces a per-row `w @ y[group]` bit for bit; einsum does not.
+    # Small blocks keep the gather small: a gather of many MiB goes back to the
+    # kernel when freed, and the next document faults its pages in again.
+    for lo in range(0, retained.size, SUM_ROWS):
+        blk = slice(lo, lo + SUM_ROWS)
+        np.matmul(w[blk, None, :], y[groups[blk]].astype(np.float64, copy=False),
+                  out=out[blk, None, :])
     return out

@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from .errors import MultipleGlobalImagesError, ParseError, TokzipError
+from .errors import MultipleGlobalImagesError, ParseError, TokzipError, short_repr
 from .pipeline import SubImageBundle, is_int_pair
 from .tensorfile import read_tensor, write_tensor
 
@@ -73,7 +73,8 @@ def _typed(entry, key, default, kind, i, where):
     """entry[key] if it is exactly of type kind, default if absent; ParseError otherwise."""
     value = entry.get(key, default)
     if type(value) is not kind:
-        raise ParseError(f"subimage {i}: {key} must be a {kind.__name__}, got {value!r}", where)
+        raise ParseError(f"subimage {i}: {key} must be a {kind.__name__}, "
+                         f"got {short_repr(value)}", where)
     return value
 
 
@@ -83,7 +84,8 @@ def _int_pair(entry, key, default, low, i, where):
         return default
     value = entry[key]
     if not is_int_pair(value, low):
-        raise ParseError(f"subimage {i}: {key} must be two integers >= {low}, got {value!r}", where)
+        raise ParseError(f"subimage {i}: {key} must be two integers >= {low}, "
+                         f"got {short_repr(value)}", where)
     return tuple(value)
 
 

@@ -13,7 +13,7 @@ from .bundle_io import (
     write_index, write_result,
 )
 from .density import DensityConfig, compute_density
-from .errors import ParseError, TokzipError, UsageError
+from .errors import ParseError, TokzipError, UsageError, short_repr
 from .harness import baseline_select, oracle_suite
 from .masks import MAX_SCALE, PROVENANCE_LEVEL, render_masks
 from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats, is_int_pair
@@ -25,9 +25,13 @@ def _load_config(path, seed_override=None):
     doc = (read_yaml(path, "config") if path else None) or {}
     if not isinstance(doc, dict):
         raise ParseError("config must be a mapping of sections", path)
+    sections = {"density": DensityConfig, "selection": SelectionConfig,
+                "aggregation": AggregationConfig}
+    for name in doc:
+        if name not in sections:
+            raise ParseError(f"unknown section {short_repr(name)}", path)
     configs = []
-    for section, cls in (("density", DensityConfig), ("selection", SelectionConfig),
-                         ("aggregation", AggregationConfig)):
+    for section, cls in sections.items():
         values = doc.get(section) or {}
         if not isinstance(values, dict):
             raise ParseError(f"section {section!r} must be a mapping", path)
@@ -37,10 +41,10 @@ def _load_config(path, seed_override=None):
         types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
         for key, value in values.items():
             if key not in types:
-                raise ParseError(f"unknown key {key!r} in section {section!r}", path)
+                raise ParseError(f"unknown key {short_repr(key)} in section {section!r}", path)
             if not (type(value) is types[key] or types[key] is float and type(value) is int):
                 raise ParseError(f"section {section!r}: {key} must be of type "
-                                 f"{types[key].__name__}, got {value!r}", path)
+                                 f"{types[key].__name__}, got {short_repr(value)}", path)
         try:
             configs.append(cls(**values))
         except ValueError as e:

@@ -135,9 +135,10 @@ def _gamma(n, u):
 def cosine_error_bound(d, precision):
     """Bound eps on |computed similarity - exact cosine| of two key rows of length d.
 
-    precision "float32" is the filter: unit rows divided in float64, cast to
-    float32, and multiplied by a float32 GEMM. "float64" is the recheck: unit
-    rows and their dot product in float64 (CosineKeys.cosines).
+    precision "float32" is the filter: float32 unit rows from
+    CosineKeys._unit_rows, multiplied by a float32 GEMM. "float64" is the
+    recheck: unit rows divided and their dot product taken in float64
+    (CosineKeys.cosines).
 
     Derivation, with u = 2^-53 and a row a whose norm is at least
     ZERO_NORM_EPS. The float64 norm (a sum of d squares in any order, then a
@@ -145,9 +146,14 @@ def cosine_error_bound(d, precision):
     plus the underflow of squares, 4 d 2^-1022 / ZERO_NORM_EPS^2 (a row that
     key_row_norms scales by a power of two has a scaled norm of at least 1/2,
     so its scaling's and squares' underflow fit in that term). A computed
-    unit entry is v_t = a_t / |a| (1 + rho_t) + eta_t: the division and the
-    float32 cast (roundoff u_c = 2^-24; 0 in the recheck) give
-    |rho_t| <= rho = (u + u_c + u u_c + theta) / (1 - theta), and underflow gives
+    unit entry is v_t = a_t / |a| (1 + rho_t) + eta_t. The recheck divides
+    by the norm: one rounding, r = u. The filter multiplies by the norm's
+    float64 reciprocal, at least 2^-1024 since the norm is finite, so it is
+    off by a relative r = 4u at most, subnormal or not; then it either casts
+    the reciprocal to float32 and multiplies in float32, or multiplies in
+    float64 and casts the product: two more roundings, each of roundoff at
+    most u_c = 2^-24 (u_c = 0 in the recheck). These give |rho_t| <= rho =
+    (r + (1 + r) u_c (2 + u_c) + theta) / (1 - theta), and underflow gives
     |eta_t| <= eta = 2 tiny, with tiny the smallest normal of the precision.
     With delta = rho + eta sqrt(d), and sum |a_t| / |a| <= sqrt(d), the exact
     dot product of two computed unit rows is within (1 + delta)^2 - 1 of the
@@ -165,9 +171,9 @@ def cosine_error_bound(d, precision):
     """
     u_gemm, tiny = _ROUNDOFF[precision]
     u = _ROUNDOFF["float64"][0]
-    u_cast = u_gemm if precision == "float32" else 0.0
+    r, u_c = (4 * u, u_gemm) if precision == "float32" else (u, 0.0)
     theta = _gamma(d + 1, u) + 4 * d * _ROUNDOFF["float64"][1] / ZERO_NORM_EPS**2
-    rho = (u + u_cast + u * u_cast + theta) / (1.0 - theta)
+    rho = (r + (1 + r) * u_c * (2 + u_c) + theta) / (1.0 - theta)
     eta = 2 * tiny
     delta = rho + eta * math.sqrt(d)
     gamma = _gamma(d, u_gemm)
@@ -184,8 +190,9 @@ class CosineKeys:
            rows is within eps of their exact cosine
     eps64: the same bound for `cosines`
 
-    Each decision builds its float32 unit rows inside the call and drops them.
-    Keys are divided in float64, then cast: entries beyond 3.4e38 overflow float32.
+    Each decision builds its float32 unit rows inside the call and drops them
+    (_unit_rows). float64 keys are scaled in float64, then cast, so entries
+    beyond 3.4e38, which overflow float32, still give their unit rows.
     """
 
     def __init__(self, keys, name="key"):
@@ -195,12 +202,20 @@ class CosineKeys:
         self.eps64 = cosine_error_bound(self.keys.shape[1], "float64")
 
     def _unit_rows(self, order=None):
-        """The unit rows keys[order], all rows by default, divided in float64 block by block."""
+        """The unit rows keys[order], all rows by default: each key times its norm's reciprocal.
+
+        float32 keys whose norms are all below 2^100 multiply in float32 by the
+        reciprocals cast to float32, which are normal numbers; other keys
+        multiply in float64 and are cast when stored.
+        """
+        inv = 1.0 / self.norms
+        if self.keys.dtype == np.float32 and self.norms.max() < 2.0**100:
+            inv = inv.astype(np.float32)
         unit = np.empty((len(self.keys if order is None else order), self.keys.shape[1]), np.float32)
         for lo in range(0, len(unit), BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS) if order is None else order[lo : lo + BLOCK_ROWS]
-            np.divide(self.keys[rows], self.norms[rows, None], out=unit[lo : lo + BLOCK_ROWS],
-                      casting="same_kind")
+            np.multiply(self.keys[rows], inv[rows, None], out=unit[lo : lo + BLOCK_ROWS],
+                        casting="same_kind")
         return unit
 
     def peer_counts(self, alpha, count_self=False, cap=None):

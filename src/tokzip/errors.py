@@ -1,4 +1,15 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the repr their messages give a value."""
+
+import reprlib
+
+# A value in an error message shows one level of its containers, a few items
+# and short scalars: YAML aliases can make a tiny file's value print as many
+# kilobytes, and an error is one short line.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxdict = 1, 3
+_SHORT.maxlist = _SHORT.maxtuple = _SHORT.maxset = _SHORT.maxfrozenset = 4
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 30
+short_repr = _SHORT.repr
 
 
 class TokzipError(Exception):

@@ -14,7 +14,7 @@ from .aggregation import AggregationConfig, aggregate
 from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
 from .errors import (DimensionMismatchError, EmptyCorpusError, GlobalImageRejectedError,
-                     MultipleGlobalImagesError, TokzipError)
+                     MultipleGlobalImagesError, TokzipError, short_repr)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -78,7 +78,8 @@ class SubImageBundle:
                 raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
         for name, low in (("grid_shape", 1), ("crop_position", 0)):
             if not is_int_pair(value := getattr(self, name), low):
-                raise TokzipError(f"{where}{name} must be two integers >= {low}, got {value!r}")
+                raise TokzipError(f"{where}{name} must be two integers >= {low}, "
+                                  f"got {short_repr(value)}")
         rows, cols = self.grid_shape
         if rows * cols != n:
             raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")

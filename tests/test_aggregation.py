@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import tokzip.core
 from tokzip import AggregationConfig, aggregate, normalize_rows, similarity_matrix
+from tokzip.aggregation import SUM_ROWS
 from tokzip.core import BLOCK_ROWS, CosineKeys
 from tokzip.errors import (
     DimensionMismatchError,
@@ -120,7 +123,8 @@ def test_deterministic(rng):
 # Exactness of the blocked kernel against the per-row reference
 # ---------------------------------------------------------------------------
 
-SIZES = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+SIZES = [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+         2 * BLOCK_ROWS + 3]
 
 
 def per_row_reference(tokens, keys, attn, retained, knn_k, include_self=True, normalize=True):
@@ -164,7 +168,8 @@ def test_blocked_matches_per_row_reference(n, n_ret, kind, lattice_keys):
     np.testing.assert_array_equal(got, want)
 
     # Rows on both sides of each block boundary, against the brute-force oracle.
-    probe = sorted({0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS, n_ret - 1} & set(range(n_ret)))
+    probe = sorted({0, SUM_ROWS - 1, SUM_ROWS, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS,
+                    n_ret - 1} & set(range(n_ret)))
     oracle = oracle_aggregate(y, keys, attn, retained[probe], knn_k)
     np.testing.assert_allclose(got[probe], oracle, rtol=0, atol=1e-12)
 
@@ -272,6 +277,24 @@ def test_capped_peer_counts_skip_pairs_of_decided_rows(clustered, monkeypatch):
         assert sum(entries) <= exact / 2
     else:  # no row reaches cap: the same walk
         assert sum(entries) == exact
+
+
+def test_group_sums_gather_little_beyond_the_output():
+    # A 576 x 1024 float32 crop with every row retained: gathering a 256-row
+    # block's groups at once takes about 12 MiB beyond the output.
+    rng = np.random.default_rng(12)
+    n, d = 576, 1024
+    y = rng.standard_normal((n, d)).astype(np.float32)
+    keys = rng.standard_normal((n, d)).astype(np.float32)
+    attn = rng.uniform(0.1, 1.0, n)
+    prepared = CosineKeys(keys)
+    tracemalloc.start()
+    try:
+        out = aggregate(y, prepared, attn, np.arange(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 6 * 2**20
 
 
 def test_all_zero_group_weights_average_uniformly(lattice_keys):

@@ -172,19 +172,30 @@ NEGATIVE_INDEX_META = json.dumps({"image_id": "sub_a", "redundant_mask": [False]
                                   "retained_indices": [-1], "branch_provenance": ["local"],
                                   "grid_shape": [4, 4]})
 
+# A 184-byte config whose min_retained is a list of aliases nested four levels
+# deep: its full repr is 107,697 characters.
+ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1, 1, 1]"
+                  + ", *a" * 7 + "]" + ", *b" * 7 + "]" + ", *c" * 7 + "]" + ", *d" * 7 + "]\n")
+
 # name -> (files written under tmp_path, command line). Each exited with a traceback before,
 # except image_id_with_slash and labels_not_file_name, which wrote output outside --out,
-# last_tensor_in_last_entry, which left the earlier run's results.json in --out, and eight
-# that exited 0: two sub-images with one id shared one set of output files, an empty id
+# last_tensor_in_last_entry, which left the earlier run's results.json in --out,
+# config_value_aliased, whose one error line was 107,000 characters long, and nine that
+# exited 0: two sub-images with one id shared one set of output files, an empty id
 # was replaced by the entry's position, a non-finite iqr_factor switched the global branch
 # off, a quoted is_global 'false' passed its crop through uncompressed, a dataset or an
-# image_id that was not a string was turned into one, and density read two global images.
+# image_id that was not a string was turned into one, density read two global images,
+# and a misspelled config section was ignored.
 # masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid;
 # masks --scale 10**10 asked numpy for a 5.24 TiB raster, and 10**20 overflowed.
 # masks_negative_retained_index was already one error line; it keeps the check that moved.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "unknown_config_section": ({"c.yaml": "densty:\n  alpha: 0.9\n"},
+                               "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "config_value_aliased": ({"c.yaml": ALIASED_CONFIG},
+                             "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "invalid_config_yaml": ({"c.yaml": "density: [a, b\n"},
                             "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "invalid_manifest_yaml": ({"m.yaml": "subimages: [a, b\n"}, "density --manifest {t}/m.yaml"),
@@ -270,6 +281,10 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     if case == "unknown_config_key":
         assert "'alpah'" in err
+    if case == "unknown_config_section":
+        assert "unknown section 'densty'" in err
+    if case == "config_value_aliased":
+        assert len(err) < 300 and "min_retained" in err
     if case == "labels_not_file_name":
         assert not list(tmp_path.glob("escaped*"))
     if case == "last_tensor_in_last_entry":  # the good run's index would list new and old files

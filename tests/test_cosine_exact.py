@@ -181,18 +181,33 @@ def test_signed_zero_copies_tie_without_the_exact_value(monkeypatch):
     assert ck._exact_order(0, np.array([3, 2, 1])).tolist() == [1, 2, 3]
 
 
-@pytest.mark.parametrize("d", [1, 3, 1024, 4096])
-def test_filter_and_recheck_stay_within_their_bounds(d):
+@pytest.mark.parametrize("d,row4", [
+    *(pytest.param(d, "huge", id=str(d)) for d in (1, 3, 1024, 4096)),
+    # float32 keys: row 4 near ZERO_NORM_EPS, all norms below 2^100 (the float32 multiply),
+    # or row 4 at the top of the float32 range (the float64 reciprocal, cast when stored)
+    *(pytest.param(d, kind, id=f"{kind}-{d}")
+      for kind in ("float32_tiny", "float32_big") for d in (1, 3, 1024))])
+def test_filter_and_recheck_stay_within_their_bounds(d, row4):
     rng = np.random.default_rng(d)
     n = 5 if d >= 1024 else 12
     keys = mixed_magnitude_rows(rng, n, d)
+    if row4 != "huge":  # entries from 1e-38 to 1e22
+        keys = (keys * 1e-8).astype(np.float32)
     keys[1] = keys[0] * 3.0  # cosine exactly 1
     keys[2] = -keys[0]  # cosine exactly -1
     if d > 1:
         keys[3] = np.where(np.arange(d) % 2, keys[0], 0.0)  # row 0 in part
         keys[3, 0] = keys[0, 0]
-    keys[4] *= 1e270  # beyond float32, so keys are not cast before dividing; squares overflow
+    if row4 == "huge":
+        keys[4] *= 1e270  # beyond float32, so keys are not cast before scaling; squares overflow
+    elif row4 == "float32_tiny":
+        keys[4] *= 1.5e-12 / np.linalg.norm(keys[4].astype(np.float64))
+    else:
+        keys[4] *= 3e38 / np.abs(keys[4]).max()
     ck = CosineKeys(keys)
+    if row4 != "huge":
+        assert (ck.norms.max() < 2.0**100) == (row4 == "float32_tiny")
+        assert ck.norms.min() < 2e-12 if row4 == "float32_tiny" else ck.norms.max() >= 3e38
     unit = ck._unit_rows()
     sim = similarity_matrix(unit, unit)
     assert sim.dtype == np.float32

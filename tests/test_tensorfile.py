@@ -5,7 +5,7 @@ import pytest
 
 from tokzip import read_tensor, write_tensor
 from tokzip.errors import NonFiniteValueError, ParseError
-from tokzip.tensorfile import MAGIC, VERSION
+from tokzip.tensorfile import MAGIC, VERSION, WRITE_ROWS
 
 
 def test_round_trip_bitwise(tmp_path, rng):
@@ -43,7 +43,9 @@ def test_many_random_round_trips(tmp_path, rng):
     lambda a: a.astype(np.float64).T,
     lambda a: a[0, 0],
     lambda a: a[:0],
-], ids=["float32", "fortran", "strided", "big_endian_f64", "f64_transposed", "scalar", "empty"])
+    lambda a: np.tile(a.astype(np.float64), (2 * WRITE_ROWS // 4 + 1, 1)),  # cast in 3 blocks
+], ids=["float32", "fortran", "strided", "big_endian_f64", "f64_transposed", "scalar", "empty",
+        "f64_tall"])
 def test_file_is_header_then_row_major_float32(make, tmp_path, rng):
     arr = make(rng.standard_normal((4, 6)).astype(np.float32))
     want = np.ascontiguousarray(arr, dtype="<f4")
