@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CosineKeys, as_matrix, check_attention_vector
-from .errors import DimensionMismatchError, EmptyRetentionError
+from .errors import DimensionMismatchError, EmptyRetentionError, NonFiniteValueError
 
 # Rows per group-sum block: one block's float64 gather, SUM_ROWS x
 # (knn_k + 1) x D, is 0.5 MiB at knn_k = 3 and D = 1024.
@@ -56,8 +56,8 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     that of `nearest` (the N x D float32 unit keys, its R x (knn_k + 1)
     running top and two BLOCK_ROWS x N blocks of similarities), then a
     SUM_ROWS x (knn_k + 1) x D float64 gather of group tokens.
-    float32 tokens stay float32 until they are gathered; the upcast is
-    exact, so the output is that of their float64 upcast, bit for bit.
+    The output has the tokens' dtype, each float32 sum rounded once from
+    float64; a sum beyond the float32 range raises NonFiniteValueError.
     """
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
@@ -72,7 +72,7 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
 
     # The output outlives the unit rows that `nearest` builds, so it is
     # allocated first: the other order raises the process's peak RSS.
-    out = np.empty((retained.size, y.shape[1]), dtype=np.float64)
+    out = np.empty((retained.size, y.shape[1]), dtype=y.dtype)
     groups = keys.nearest(retained, cfg.knn_k)
     if cfg.include_self:
         groups = np.concatenate([retained[:, None], groups], axis=1)
@@ -83,8 +83,13 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     # Batched matmul reproduces a per-row `w @ y[group]` bit for bit; einsum does not.
     # Small blocks keep the gather small: a gather of many MiB goes back to the
     # kernel when freed, and the next document faults its pages in again.
-    for lo in range(0, retained.size, SUM_ROWS):
-        blk = slice(lo, lo + SUM_ROWS)
-        np.matmul(w[blk, None, :], y[groups[blk]].astype(np.float64, copy=False),
-                  out=out[blk, None, :])
+    # A float32 sum past the float32 range would otherwise be stored as inf, silently.
+    with np.errstate(over="raise" if y.dtype == np.float32 else None):
+        try:
+            for lo in range(0, retained.size, SUM_ROWS):
+                blk = slice(lo, lo + SUM_ROWS)
+                np.matmul(w[blk, None, :], y[groups[blk]].astype(np.float64, copy=False),
+                          out=out[blk, None, :])
+        except FloatingPointError:
+            raise NonFiniteValueError("a group sum exceeds the float32 range") from None
     return out

@@ -198,8 +198,6 @@ def _cmd_baseline(args):
 
 
 def _cmd_selftest(args):
-    if args.seed < 0:
-        raise UsageError(f"selftest --seed must be >= 0, got {args.seed}")
     report = oracle_suite(seed=args.seed)
     all_ok = True
     for check in report:
@@ -263,6 +261,8 @@ def main(argv=None):
     with warnings.catch_warnings():  # each warning as one line, like errors
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
+            if getattr(args, "seed", None) is not None and args.seed < 0:
+                raise UsageError(f"{args.command} --seed must be >= 0, got {args.seed}")
             return args.func(args)
         except (TokzipError, OSError) as e:
             print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

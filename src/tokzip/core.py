@@ -29,8 +29,8 @@ BLOCK_ROWS = 256
 def as_matrix(a, name="matrix"):
     """Coerce to a 2-D float array without copying when already compliant.
 
-    float32 stays float32, the precision of tensors at rest; the kernels
-    upcast it per block. Any other dtype becomes float64.
+    float32 stays float32, the precision of tensors at rest; the exact
+    tiers and aggregate upcast only the rows they gather. Others become float64.
     """
     arr = np.asarray(a)
     arr = arr.astype(np.float32 if arr.dtype == np.float32 else np.float64, copy=False)

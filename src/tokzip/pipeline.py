@@ -41,12 +41,13 @@ class SubImageBundle:
     attn_deep: deep-layer CLS attention (global branch + merge weights)
 
     The three matrices are float32, as load_bundle leaves them, or float64;
-    the kernels upcast float32 per block. Checked once, when built, whether
-    read from disk or made in memory, without a float64 copy of a float32
-    matrix; derive a changed copy with dataclasses.replace. Errors name the
-    image_id and the field. The check prepares each key matrix as a
-    CosineKeys, computing its float64 row norms once, and keeps them as
-    cosine_low and cosine_deep for the density and aggregation stages.
+    the exact tiers and aggregate upcast only the rows they gather. Checked
+    once, when built, whether read from disk or made in memory, without a
+    float64 copy of a float32 matrix; derive a changed copy with
+    dataclasses.replace. Errors name the image_id and the field. The check
+    prepares each key matrix as a CosineKeys, computing its float64 row norms
+    once, and keeps them as cosine_low and cosine_deep for the density and
+    aggregation stages.
     """
 
     y_last: np.ndarray
@@ -91,7 +92,11 @@ class SubImageBundle:
 
 @dataclass(frozen=True)
 class CompressionResult:
-    """Retained indices, merged tokens, and provenance for one sub-image."""
+    """Retained indices, merged tokens, and provenance for one sub-image.
+
+    compressed_tokens has the dtype core.as_matrix gives the bundle's y_last,
+    float32 or float64. Float32 tokens are summed in float64 and rounded once.
+    """
 
     retained_indices: np.ndarray
     compressed_tokens: np.ndarray
@@ -150,7 +155,7 @@ def compress_document(
     Each bundle gets its own generator seeded from selection_cfg.seed, so
     results do not depend on processing order and identical bundles under the
     same seed produce identical results. `select` is as in compress_subimage.
-    The global image's y_last is its result's tokens: shared if float64, not copied.
+    The global image's y_last is its result's tokens, shared, not copied.
     """
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:
@@ -158,7 +163,7 @@ def compress_document(
     return [
         CompressionResult(
             retained_indices=np.arange(b.n_tokens, dtype=np.intp),
-            compressed_tokens=np.asarray(b.y_last, dtype=np.float64),
+            compressed_tokens=as_matrix(b.y_last),
             density_report=None,
             branch_provenance=[],
             n_original=b.n_tokens,

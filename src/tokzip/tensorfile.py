@@ -27,35 +27,23 @@ DTYPE_F32 = 1
 
 _HEADER = struct.Struct("<4sHBB")
 
-_F32_MAX = float(np.finfo(np.float32).max)
-
-# Rows cast per write. A whole-array float32 copy of a float64 result, on top
-# of the result, can grow the heap past what the allocator keeps between
-# documents, and the next document faults those pages in again.
-WRITE_ROWS = 64
-
 
 def write_tensor(path, array):
     """Write an array as a float32 TKZT file.
 
     A finite value beyond the float32 range raises NonFiniteValueError before
-    the file is opened; NaN and inf are written as given. An array of another
-    dtype whose extremes lie within the float32 range, such as a float64
-    result, is cast WRITE_ROWS rows at a time, not copied whole.
+    the file is opened; NaN and inf are written as given. A C-contiguous
+    little-endian float32 array is written as it is, without a copy.
     """
-    arr = np.asarray(array)
-    if not (arr.dtype != "<f4" and arr.ndim and arr.size
-            and -_F32_MAX <= arr.min() and arr.max() <= _F32_MAX):  # NaN fails both
-        with np.errstate(over="raise"):
-            try:
-                arr = np.ascontiguousarray(arr, dtype="<f4")
-            except FloatingPointError:
-                raise NonFiniteValueError(f"{path}: a finite value exceeds the float32 range") from None
+    with np.errstate(over="raise"):
+        try:
+            arr = np.ascontiguousarray(array, dtype="<f4")
+        except FloatingPointError:
+            raise NonFiniteValueError(f"{path}: a finite value exceeds the float32 range") from None
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, DTYPE_F32, arr.ndim))
         f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        for lo in range(0, len(arr), WRITE_ROWS):  # float32 rows are written as they are
-            f.write(np.ascontiguousarray(arr[lo : lo + WRITE_ROWS], dtype="<f4").data)
+        f.write(arr.data)
 
 
 def read_tensor(path):

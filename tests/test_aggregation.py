@@ -13,6 +13,7 @@ from tokzip.errors import (
     DimensionMismatchError,
     EmptyRetentionError,
     NeighborCountExceedsTokensError,
+    NonFiniteValueError,
 )
 from tokzip.harness import oracle_aggregate
 
@@ -295,6 +296,19 @@ def test_group_sums_gather_little_beyond_the_output():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 6 * 2**20
+
+
+def test_float32_group_sum_beyond_float32_is_refused(rng):
+    # Unnormalized weights of 1e38 on tokens of at least 1: each sum of four exceeds 3.4e38.
+    n = 12
+    y = np.abs(rng.standard_normal((n, 4))) + 1.0
+    keys = rng.standard_normal((n, 4))
+    attn = np.full(n, 1e38)
+    cfg = AggregationConfig(normalize_weights=False)
+    got = aggregate(y, keys, attn, np.arange(n), cfg)
+    assert got.dtype == np.float64 and np.isfinite(got).all() and got.min() > 3.4e38
+    with pytest.raises(NonFiniteValueError, match="float32 range"):
+        aggregate(y.astype(np.float32), keys, attn, np.arange(n), cfg)
 
 
 def test_all_zero_group_weights_average_uniformly(lattice_keys):

@@ -189,6 +189,8 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid;
 # masks --scale 10**10 asked numpy for a 5.24 TiB raster, and 10**20 overflowed.
 # masks_negative_retained_index was already one error line; it keeps the check that moved.
+# negative_seed and compress_negative_seed were one error line too, but it blamed the
+# config's selection section, which baseline does not even read, instead of --seed.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -230,6 +232,7 @@ BAD_INPUTS = {
     "empty_aggregation_group": ({"c.yaml": "aggregation:\n  knn_k: 0\n  include_self: false\n"},
                                 "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "negative_seed": ({}, "baseline --manifest {manifest} --out {t}/o --method random --seed -1"),
+    "compress_negative_seed": ({}, "compress --manifest {manifest} --out {t}/o --seed -1"),
     "selftest_negative_seed": ({}, "selftest --seed -1"),
     "is_global_string": ({"m.yaml": f"subimages: [{{{SUB_A}, is_global: 'false'}}]\n"},
                          "compress --manifest {t}/m.yaml --out {t}/o"),
@@ -283,6 +286,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert "'alpah'" in err
     if case == "unknown_config_section":
         assert "unknown section 'densty'" in err
+    if case.endswith("negative_seed"):
+        assert "--seed" in err
     if case == "config_value_aliased":
         assert len(err) < 300 and "min_retained" in err
     if case == "labels_not_file_name":

@@ -267,8 +267,8 @@ def test_float32_bundle_compresses_as_its_float64_upcast(kind, lattice_keys, mon
     assert set(exact_tier) == ({"_exact_order"} if kind == "copies" else
                                {"_exceeds", "_exact_order"})
     for a, b in zip(got, compress_document(upcast, cfg)):
-        assert a.compressed_tokens.dtype == b.compressed_tokens.dtype == np.float64
-        assert a.compressed_tokens.tobytes() == b.compressed_tokens.tobytes()
+        assert a.compressed_tokens.dtype == np.float32 and b.compressed_tokens.dtype == np.float64
+        assert a.compressed_tokens.tobytes() == b.compressed_tokens.astype(np.float32).tobytes()
         assert a.retained_indices.tolist() == b.retained_indices.tolist()
         assert a.branch_provenance == b.branch_provenance
         assert (a.density_report is None) == (b.density_report is None)

@@ -60,12 +60,11 @@ def test_key_norms_are_computed_once_per_matrix(monkeypatch):
 
 def test_float64_global_image_is_shared_not_copied():
     g = dataclasses.replace(_uniform_bundle(), is_global=True)
-    res = compress_document([g])[0]
-    assert res.is_global_passthrough and np.shares_memory(res.compressed_tokens, g.y_last)
-    g32 = dataclasses.replace(g, y_last=g.y_last.astype(np.float32))
-    res32 = compress_document([g32])[0]
-    assert res32.compressed_tokens.dtype == np.float64
-    assert res32.compressed_tokens.tobytes() == g32.y_last.astype(np.float64).tobytes()
+    for dtype in (np.float64, np.float32):
+        gd = dataclasses.replace(g, y_last=g.y_last.astype(dtype))
+        res = compress_document([gd])[0]
+        assert res.is_global_passthrough and res.compressed_tokens.dtype == dtype
+        assert np.shares_memory(res.compressed_tokens, gd.y_last)
 
 
 def test_global_image_rejected():

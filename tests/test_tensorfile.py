@@ -1,11 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tokzip import read_tensor, write_tensor
 from tokzip.errors import NonFiniteValueError, ParseError
-from tokzip.tensorfile import MAGIC, VERSION, WRITE_ROWS
+from tokzip.tensorfile import MAGIC, VERSION
 
 
 def test_round_trip_bitwise(tmp_path, rng):
@@ -43,7 +44,7 @@ def test_many_random_round_trips(tmp_path, rng):
     lambda a: a.astype(np.float64).T,
     lambda a: a[0, 0],
     lambda a: a[:0],
-    lambda a: np.tile(a.astype(np.float64), (2 * WRITE_ROWS // 4 + 1, 1)),  # cast in 3 blocks
+    lambda a: np.tile(a.astype(np.float64), (33, 1)),  # 132 float64 rows
 ], ids=["float32", "fortran", "strided", "big_endian_f64", "f64_transposed", "scalar", "empty",
         "f64_tall"])
 def test_file_is_header_then_row_major_float32(make, tmp_path, rng):
@@ -53,6 +54,18 @@ def test_file_is_header_then_row_major_float32(make, tmp_path, rng):
     data = (tmp_path / "t.tkzt").read_bytes()
     header = struct.pack("<4sHBB", MAGIC, VERSION, 1, want.ndim)
     assert data == header + struct.pack(f"<{want.ndim}I", *want.shape) + want.tobytes()
+
+
+def test_float32_array_is_written_without_a_copy(tmp_path):
+    arr = np.ones((576, 1024), dtype="<f4")  # 2.25 MiB
+    tracemalloc.start()
+    try:
+        write_tensor(tmp_path / "t.tkzt", arr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+    assert (tmp_path / "t.tkzt").read_bytes().endswith(arr.tobytes())
 
 
 def test_header_is_little_endian_layout(tmp_path):
