@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from .errors import MultipleGlobalImagesError, ParseError, TokzipError, short_repr
-from .pipeline import SubImageBundle, is_int_pair
+from .errors import MultipleGlobalImagesError, ParseError, TokzipError
+from .pipeline import FIELD_RULES, SubImageBundle, check_field
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -64,37 +64,13 @@ def read_yaml(path, what):
         raise ParseError(f"invalid YAML{where}: {problem}", str(path)) from e
 
 
-def is_file_name(name):
-    """Whether name can stand in an output file name: non-empty, no '/' and no NUL."""
-    return bool(name) and "/" not in name and "\0" not in name
-
-
-def _typed(entry, key, default, kind, i, where):
-    """entry[key] if it is exactly of type kind, default if absent; ParseError otherwise."""
-    value = entry.get(key, default)
-    if type(value) is not kind:
-        raise ParseError(f"subimage {i}: {key} must be a {kind.__name__}, "
-                         f"got {short_repr(value)}", where)
-    return value
-
-
-def _int_pair(entry, key, default, low, i, where):
-    """entry[key] as a tuple of two ints >= low, default if absent; ParseError otherwise."""
-    if key not in entry:
-        return default
-    value = entry[key]
-    if not is_int_pair(value, low):
-        raise ParseError(f"subimage {i}: {key} must be two integers >= {low}, "
-                         f"got {short_repr(value)}", where)
-    return tuple(value)
-
-
 def read_manifest(manifest_path):
     """Check all of a manifest that needs no tensor, and read none.
 
     Returns per sub-image a dict of SubImageBundle's fields: each tensor field
-    holds its resolved path, and an absent grid_shape is None. At most one
-    entry is the global image.
+    holds its resolved path, and an absent grid_shape is None. Each metadata
+    field present must pass its rule in pipeline.FIELD_RULES; image_ids must
+    be non-empty and distinct, and at most one entry is the global image.
     """
     manifest_path = Path(manifest_path)
     where = str(manifest_path)
@@ -109,43 +85,39 @@ def read_manifest(manifest_path):
         for name, path in paths.items():
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"subimage {i} needs a file path '{name}'", where)
-        image_id = _typed(entry, "image_id", f"subimage_{i}", str, i, where)
-        if not is_file_name(image_id):
-            raise ParseError(f"subimage {i}: image_id {image_id!r} is not a file name", where)
+        fields = {"grid_shape": None, "is_global": False, "dataset": "default",
+                  "image_id": f"subimage_{i}", "crop_position": (0, 0)}
+        try:
+            fields.update({name: check_field(name, entry[name], f"subimage {i}: ")
+                           for name in FIELD_RULES if name in entry})
+        except TokzipError as e:
+            raise ParseError(str(e), where) from None
+        image_id = fields["image_id"]
+        if not image_id:
+            raise ParseError(f"subimage {i}: image_id must not be empty", where)
         if any(e["image_id"] == image_id for e in entries):
             raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
-        is_global = _typed(entry, "is_global", False, bool, i, where)
-        if is_global and any(e["is_global"] for e in entries):
+        if fields["is_global"] and any(e["is_global"] for e in entries):
             raise MultipleGlobalImagesError(f"{where}: subimage {i} is a second global image")
-        entries.append({
-            **{name: manifest_path.parent / path for name, path in paths.items()},
-            "grid_shape": _int_pair(entry, "grid_shape", None, 1, i, where),
-            "is_global": is_global,
-            "dataset": _typed(entry, "dataset", "default", str, i, where),
-            "image_id": image_id,
-            "crop_position": _int_pair(entry, "crop_position", (0, 0), 0, i, where),
-        })
+        entries.append({name: manifest_path.parent / path for name, path in paths.items()} | fields)
     return entries
 
 
 def load_entry(entry):
     """One read_manifest entry's SubImageBundle: its tensors read and checked.
 
-    The three matrices stay float32, as read; only the attention vectors are
-    upcast, since their sums and cumsums are taken in float64. The bundle is
-    built from a copy of entry, so the list of entries holds no tensor.
+    The three matrices stay float32, as read; the bundle keeps the attention
+    vectors as the float64 arrays its check returns. An attention sum far
+    from 1 is warned about before that check. The bundle is built from a
+    copy of entry, so the list of entries holds no tensor.
     """
-    fields = dict(entry)
-    for name in TENSOR_FIELDS:
-        fields[name] = read_tensor(entry[name])
+    fields = entry | {name: read_tensor(entry[name]) for name in TENSOR_FIELDS}
     for name in ("attn_low", "attn_deep"):
-        fields[name] = fields[name].astype(np.float64)
-        total = float(fields[name].sum())
+        total = float(fields[name].sum(dtype=np.float64))
         if ATTENTION_SUM_WARN_TOL < abs(total - 1.0) < np.inf:  # NaN and inf are errors
             warnings.warn(f"{entry['image_id']}: {name}: attention sums to {total:.6g}, "
                           "not 1; it will be renormalized where needed", stacklevel=2)
-    y = fields["y_last"]
-    fields["grid_shape"] = entry["grid_shape"] or (1, len(y) if y.ndim else 0)
+    fields["grid_shape"] = entry["grid_shape"] or (1, *fields["y_last"].shape[:1])  # (1, N)
     return SubImageBundle(**fields)
 
 
@@ -176,7 +148,7 @@ def write_bundle(out_dir, bundles, notes=None):
     for stem, b in zip(stems, bundles):
         entry = {
             "grid_shape": list(b.grid_shape),
-            "is_global": bool(b.is_global),
+            "is_global": b.is_global,
             "dataset": b.dataset,
             "image_id": stem,
             "crop_position": list(b.crop_position),

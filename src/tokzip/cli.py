@@ -8,15 +8,14 @@ import warnings
 from pathlib import Path
 
 from .aggregation import AggregationConfig
-from .bundle_io import (
-    _json_dump, is_file_name, load_entry, load_results, open_results, read_manifest, read_yaml,
-    write_index, write_result,
-)
+from .bundle_io import (_json_dump, load_entry, load_results, open_results, read_manifest,
+                        read_yaml, write_index, write_result)
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError, short_repr
 from .harness import baseline_select, oracle_suite
 from .masks import MAX_SCALE, PROVENANCE_LEVEL, render_masks
-from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats, is_int_pair
+from .pipeline import (HIST_BIN_WIDTH, compress_document, corpus_stats, is_file_name,
+                       is_int_pair)
 from .selection import SelectionConfig
 
 

@@ -221,7 +221,7 @@ class CosineKeys:
     def peer_counts(self, alpha, count_self=False, cap=None):
         """Per row, how many rows have an exact cosine above alpha with it, at most cap.
 
-        count_self counts the row itself among them; cap=None counts exactly.
+        count_self counts the row itself among them; cap=None, or any cap above N, counts exactly.
         A float32 similarity more than eps from alpha decides its entry; the
         thresholds are stepped one float32 ulp outward, since a float32 array
         compares with a Python float in float32 (NEP 50). _exceeds decides
@@ -238,6 +238,7 @@ class CosineKeys:
         BLOCK_ROWS nor on the order of the rows.
         """
         n = self.keys.shape[0]
+        cap = n + 1 if cap is None else min(cap, n + 1)
         counts, ids, unit = np.zeros(n, dtype=np.intp), np.arange(n), self._unit_rows()
         above = np.nextafter(np.float32(alpha + self.eps), np.float32(np.inf))
         below = np.nextafter(np.float32(alpha - self.eps), np.float32(-np.inf))
@@ -253,7 +254,7 @@ class CosineKeys:
 
         for lo in range(0, n, BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, n)
-            done = ids[:0] if cap is None else lo + np.flatnonzero(counts[lo:hi] >= cap)
+            done = lo + np.flatnonzero(counts[lo:hi] >= cap)
             gather = 2 * done.size >= hi - lo
             rows = np.setdiff1d(ids[lo:hi], done, assume_unique=True) if gather else slice(lo, hi)
             if ids[rows].size:
@@ -265,7 +266,7 @@ class CosineKeys:
             later = hi + np.flatnonzero(counts[hi:] < cap) if gather else ids[:0]
             if later.size:
                 counts[later] += np.count_nonzero(similar(done, later), axis=0)
-        return counts if cap is None else np.minimum(counts, cap)
+        return np.minimum(counts, cap)
 
     def nearest(self, rows, knn_k):
         """Each row's knn_k most similar other rows, most similar first.

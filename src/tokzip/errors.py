@@ -13,7 +13,12 @@ short_repr = _SHORT.repr
 
 
 class TokzipError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the errors this package raises for bad input.
+
+    Arguments out of range raise ValueError (the config classes, SyntheticSpec,
+    local_sample_count, local_select, quantile, corpus_stats, baseline_select,
+    write_pgm) or IndexError (CosineKeys.nearest).
+    """
 
 
 class ZeroRowError(TokzipError):
@@ -49,10 +54,6 @@ class EmptyRetentionError(TokzipError):
 
 class NeighborCountExceedsTokensError(TokzipError):
     """knn_k is too large for the number of tokens available as neighbors."""
-
-
-class GlobalImageRejectedError(TokzipError):
-    """compress_subimage was called on the uncompressed global image bundle."""
 
 
 class MultipleGlobalImagesError(TokzipError):

@@ -13,8 +13,8 @@ import numpy as np
 from .aggregation import AggregationConfig, aggregate
 from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
-from .errors import (DimensionMismatchError, EmptyCorpusError, GlobalImageRejectedError,
-                     MultipleGlobalImagesError, TokzipError, short_repr)
+from .errors import (DimensionMismatchError, EmptyCorpusError, MultipleGlobalImagesError,
+                     TokzipError, short_repr)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -30,6 +30,30 @@ def is_int_pair(value, low):
             and all(type(v) is int and v >= low for v in value))
 
 
+def is_file_name(name):
+    """Whether name can stand in an output file name: non-empty, no '/' and no NUL."""
+    return bool(name) and "/" not in name and "\0" not in name
+
+
+# Per metadata field, a test of its value and what it asks for, which SubImageBundle and
+# bundle_io.read_manifest apply through check_field. Writers stem an empty image_id subimage_<i>.
+FIELD_RULES = {
+    "image_id": (lambda v: type(v) is str and (v == "" or is_file_name(v)), "a file name"),
+    "grid_shape": (lambda v: is_int_pair(v, 1), "two integers >= 1"),
+    "crop_position": (lambda v: is_int_pair(v, 0), "two integers >= 0"),
+    "is_global": (lambda v: type(v) is bool, "a bool"),
+    "dataset": (lambda v: type(v) is str, "a str"),
+}
+
+
+def check_field(name, value, where):
+    """value, a pair as a tuple, if it passes FIELD_RULES[name]; else TokzipError after where."""
+    test, wanted = FIELD_RULES[name]
+    if not test(value):
+        raise TokzipError(f"{where}{name} must be {wanted}, got {short_repr(value)}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class SubImageBundle:
     """All tensors the pipeline needs for one sub-image.
@@ -40,10 +64,11 @@ class SubImageBundle:
     keys_deep: deep-layer attention keys (aggregation similarity)
     attn_deep: deep-layer CLS attention (global branch + merge weights)
 
-    The three matrices are float32, as load_bundle leaves them, or float64;
-    the exact tiers and aggregate upcast only the rows they gather. Checked
-    once, when built, whether read from disk or made in memory, without a
-    float64 copy of a float32 matrix; derive a changed copy with
+    Checked once, when built, whether read from disk or made in memory, and
+    kept as checked: the three matrices as core.as_matrix gives them, float32
+    or float64 (a float array is kept, not copied), the attention vectors as
+    float64, and grid_shape and crop_position as tuples. The metadata fields
+    follow FIELD_RULES, as a manifest's do. Derive a changed copy with
     dataclasses.replace. Errors name the image_id and the field. The check
     prepares each key matrix as a CosineKeys, computing its float64 row norms
     once, and keeps them as cosine_low and cosine_deep for the density and
@@ -64,26 +89,33 @@ class SubImageBundle:
     cosine_deep: CosineKeys = field(init=False, repr=False)
 
     def __post_init__(self):
-        where = f"{self.image_id or 'sub-image'}: "
+        check_field("image_id", self.image_id, "sub-image: ")  # the others' errors name it
+        where = self.where
         y = as_matrix(self.y_last, where + "y_last")
         check_finite(y, where + "y_last")
+        object.__setattr__(self, "y_last", y)
         n = y.shape[0]
         for name in ("keys_low", "keys_deep"):
             keys = CosineKeys(getattr(self, name), where + name)
             if (rows := keys.keys.shape[0]) != n:
                 raise DimensionMismatchError(f"{where}{name} has {rows} rows for {n} tokens")
+            object.__setattr__(self, name, keys.keys)
             object.__setattr__(self, "cosine" + name[4:], keys)
         for name in ("attn_low", "attn_deep"):
             a = check_attention_vector(getattr(self, name), where + name)
             if a.size != n:
                 raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
-        for name, low in (("grid_shape", 1), ("crop_position", 0)):
-            if not is_int_pair(value := getattr(self, name), low):
-                raise TokzipError(f"{where}{name} must be two integers >= {low}, "
-                                  f"got {short_repr(value)}")
+            object.__setattr__(self, name, a)
+        for name in FIELD_RULES:
+            object.__setattr__(self, name, check_field(name, getattr(self, name), where))
         rows, cols = self.grid_shape
         if rows * cols != n:
             raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")
+
+    @property
+    def where(self):
+        """The prefix of this sub-image's error messages: its image_id, or 'sub-image'."""
+        return f"{self.image_id or 'sub-image'}: "
 
     @property
     def n_tokens(self):
@@ -120,23 +152,30 @@ def compress_subimage(
     agg_cfg=AggregationConfig(),
     select=None,
 ):
-    """Run the full compression chain on one non-global sub-image.
+    """Run the full compression chain on one sub-image; pass the global image through.
 
     `select(attn_deep, attn_low, density, selection_cfg)` returns the
     SelectionResult; None means select_tokens. The baselines plug in here.
+    The global image's y_last is its result's tokens, shared, not copied.
+    A TokzipError raised by a stage, or by `select`, keeps its type, and its
+    message is prefixed with the bundle's image_id.
     """
     if bundle.is_global:
-        raise GlobalImageRejectedError("the global image bundle is never compressed")
-    report = compute_density(bundle.cosine_low, density_cfg)
-    sel = (select or select_tokens)(
-        bundle.attn_deep, bundle.attn_low, report.density, selection_cfg
-    )
-    merged = sel.merged_indices
+        return CompressionResult(np.arange(bundle.n_tokens, dtype=np.intp), bundle.y_last,
+                                 None, [], bundle.n_tokens, is_global_passthrough=True)
+    try:
+        report = compute_density(bundle.cosine_low, density_cfg)
+        sel = (select or select_tokens)(bundle.attn_deep, bundle.attn_low, report.density,
+                                        selection_cfg)
+        merged = sel.merged_indices
+        tokens = aggregate(bundle.y_last, bundle.cosine_deep, bundle.attn_deep, merged, agg_cfg)
+    except TokzipError as e:
+        e.args = (bundle.where + str(e),)
+        raise
     branch = np.isin(merged, sel.global_indices) + 2 * np.isin(merged, sel.local_indices)
     return CompressionResult(
         retained_indices=merged,
-        compressed_tokens=aggregate(bundle.y_last, bundle.cosine_deep, bundle.attn_deep, merged,
-                                    agg_cfg),
+        compressed_tokens=tokens,
         density_report=report,
         branch_provenance=np.asarray(BRANCH_TAGS)[branch].tolist(),
         n_original=bundle.n_tokens,
@@ -150,29 +189,16 @@ def compress_document(
     agg_cfg=AggregationConfig(),
     select=None,
 ):
-    """Compress every non-global bundle independently; pass the global one through.
+    """compress_subimage on every bundle, of which at most one is the global image.
 
     Each bundle gets its own generator seeded from selection_cfg.seed, so
     results do not depend on processing order and identical bundles under the
-    same seed produce identical results. `select` is as in compress_subimage.
-    The global image's y_last is its result's tokens, shared, not copied.
+    same seed produce identical results.
     """
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:
         raise MultipleGlobalImagesError(f"{n_global} bundles are marked is_global")
-    return [
-        CompressionResult(
-            retained_indices=np.arange(b.n_tokens, dtype=np.intp),
-            compressed_tokens=as_matrix(b.y_last),
-            density_report=None,
-            branch_provenance=[],
-            n_original=b.n_tokens,
-            is_global_passthrough=True,
-        )
-        if b.is_global
-        else compress_subimage(b, density_cfg, selection_cfg, agg_cfg, select)
-        for b in bundles
-    ]
+    return [compress_subimage(b, density_cfg, selection_cfg, agg_cfg, select) for b in bundles]
 
 
 def _label_stats(ratios):

@@ -123,23 +123,38 @@ def test_manifest_is_checked_before_any_tensor_is_read(tmp_path, monkeypatch):
     assert calls == []
 
 
+# A value each metadata field accepts, in the form YAML reads it.
+GOOD_FIELDS = {"grid_shape": [2, 3], "crop_position": [2, 3], "is_global": True, "dataset": "x",
+               "image_id": "x"}
+
+
 @pytest.mark.parametrize("field,value", [
     ("grid_shape", (-2, -3)), ("grid_shape", (2.0, 3.0)), ("grid_shape", (True, 6)),
     ("grid_shape", (np.int64(2), 3)), ("grid_shape", (1, 2, 3)),
     ("crop_position", (-1, 0)), ("crop_position", ("a", 0)), ("crop_position", (0,)),
+    ("is_global", "no"), ("dataset", ["x"]), ("image_id", "../x"), ("image_id", 7),
 ])
 def test_bundle_and_manifest_share_the_grid_and_position_rule(field, value, tmp_path):
     b = _small_bundle(n=6)  # grid (2, 3): the bad grids multiply to 6 as well
-    with pytest.raises(TokzipError, match=f"{b.image_id}: {field}"):
+    prefix = "sub-image" if field == "image_id" else b.image_id  # a bad id cannot name itself
+    with pytest.raises(TokzipError, match=f"^{prefix}: {field} must be"):
         dataclasses.replace(b, **{field: value})
-    dataclasses.replace(b, **{field: [2, 3]})  # two ints in a list pass, as YAML reads them
-    if not any(isinstance(v, np.generic) for v in value):  # a numpy scalar has no YAML form
+    dataclasses.replace(b, **{field: GOOD_FIELDS[field]})
+    # a numpy scalar has no YAML form
+    if not (isinstance(value, tuple) and any(isinstance(v, np.generic) for v in value)):
         manifest = write_bundle(tmp_path, [b])
         doc = yaml.safe_load(manifest.read_text())
-        doc["subimages"][0][field] = list(value)
+        doc["subimages"][0][field] = list(value) if isinstance(value, tuple) else value
         manifest.write_text(yaml.safe_dump(doc))
         with pytest.raises(ParseError, match=f"subimage 0: {field}"):
             read_manifest(manifest)
+
+
+def test_write_bundle_cannot_write_outside_its_directory(tmp_path):
+    b = _small_bundle()
+    with pytest.raises(TokzipError, match="image_id must be a file name"):
+        write_bundle(tmp_path / "out", [dataclasses.replace(b, image_id="../escaped")])
+    assert not list(tmp_path.rglob("*escaped*")) and not (tmp_path / "out").exists()
 
 
 def test_attention_sum_warning(tmp_path):

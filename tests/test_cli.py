@@ -191,6 +191,7 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # masks_negative_retained_index was already one error line; it keeps the check that moved.
 # negative_seed and compress_negative_seed were one error line too, but it blamed the
 # config's selection section, which baseline does not even read, instead of --seed.
+# stage_error_names_the_crop was one error line too, but it did not say which crop failed.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -269,6 +270,8 @@ BAD_INPUTS = {
     "config_nested_too_deeply": ({"c.yaml": "- " * 3000 + "1"},
                                  "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "results_nested_too_deeply": ({"r.json": "[" * 100000}, "stats --results {t}/r.json --out {t}/o"),
+    "stage_error_names_the_crop": ({"c.yaml": "aggregation:\n  knn_k: 100\n"},
+                                   "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
 }
 
 
@@ -296,6 +299,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert not (tmp_path / "run" / "results.json").exists()
     if case.endswith("_nested_too_deeply"):
         assert "nested too deeply" in err
+    if case == "stage_error_names_the_crop":
+        assert err.startswith("error: NeighborCountExceedsTokensError: sub_a: knn_k=100")
 
 
 def test_nesting_deeper_than_the_c_stack_is_one_error_line(tmp_path):
@@ -331,7 +336,8 @@ def test_tokens_beyond_float32_are_one_error_line(manifest, tmp_path, capsys):
     assert main(["compress", "--manifest", str(big), "--config", str(tmp_path / "cfg.yaml"),
                  "--out", str(out)]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and "NonFiniteValueError" in errors[0] and "float32 range" in errors[0]
+    assert errors == [f"error: NonFiniteValueError: {crop.image_id}: "
+                      "a group sum exceeds the float32 range"]
     assert not (out / "results.json").exists()
 
 
@@ -394,4 +400,36 @@ def test_compress_holds_one_sub_image_at_a_time(manifest, tmp_path, monkeypatch)
 
     monkeypatch.setattr(tokzip.pipeline, "compress_subimage", tracking)
     assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
-    assert len(compressed) == 2
+    assert len(compressed) == 3  # the global image passes through compress_subimage too
+
+
+# Every config field, as (section, key); values at and past the extremes of each type.
+CONFIG_FIELDS = [(section, f.name) for section, cls in (("density", tokzip.DensityConfig),
+                                                         ("selection", tokzip.SelectionConfig),
+                                                         ("aggregation", tokzip.AggregationConfig))
+                 for f in dataclasses.fields(cls)]
+EXTREME_VALUES = [str(2**63), str(2**70), str(-2**70), "1.0e+308", ".inf", ".nan", "abc", "[1, 2]"]
+
+
+@pytest.mark.parametrize("value", EXTREME_VALUES)
+@pytest.mark.parametrize("section,key", CONFIG_FIELDS)
+def test_extreme_config_value_is_an_exit_code_and_one_error_line(section, key, value, manifest,
+                                                                 tmp_path, capsys):
+    (tmp_path / "c.yaml").write_text(f"{section}:\n  {key}: {value}\n")
+    code = main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                 "--config", str(tmp_path / "c.yaml")])
+    lines = capsys.readouterr().err.splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert code in (0, 1) and len(errors) == code
+    assert all(line.startswith("warning: ") for line in lines if line not in errors)
+
+
+def test_limit_k_beyond_int64_counts_every_peer(manifest, tmp_path, capsys):
+    (tmp_path / "c.yaml").write_text(f"density:\n  limit_k: {2**70}\n")
+    assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+                 "--config", str(tmp_path / "c.yaml")]) == 0
+    crops = capsys.readouterr().out.splitlines()[:2]
+    assert all(" d=1.0000 " in line for line in crops), crops
+    assert main(["density", "--manifest", str(manifest), "--limit-k", str(2**70)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 and all(row.split()[-1] == "1.0000" for row in rows)

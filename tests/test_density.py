@@ -183,6 +183,16 @@ def test_capped_counts_do_not_depend_on_the_blocks(block_rows, count_self, latti
 
 
 @pytest.mark.parametrize("count_self", [False, True])
+def test_cap_beyond_int64_counts_exactly(count_self, lattice_keys):
+    keys = CosineKeys(clustered_lattice_keys(np.random.default_rng(5), lattice_keys))
+    want = full_matrix_peer_counts(keys.keys, 0.5, count_self)
+    for cap in (None, len(want) + 1, 2**63, 2**70):
+        np.testing.assert_array_equal(keys.peer_counts(0.5, count_self, cap), want)
+    rep = compute_density(keys, DensityConfig(alpha=0.5, limit_k=2**70, count_self=count_self))
+    assert rep.density == 1.0
+
+
+@pytest.mark.parametrize("count_self", [False, True])
 def test_capped_counts_follow_a_row_permutation(count_self, lattice_keys):
     rng = np.random.default_rng(3)
     keys = clustered_lattice_keys(rng, lattice_keys)

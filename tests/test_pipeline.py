@@ -18,8 +18,9 @@ from tokzip import (
 from tokzip.core import CosineKeys
 from tokzip.errors import (
     EmptyCorpusError,
-    GlobalImageRejectedError,
+    InsufficientSupportError,
     MultipleGlobalImagesError,
+    NeighborCountExceedsTokensError,
 )
 from tokzip.harness import oracle_aggregate, oracle_density, oracle_global_select
 
@@ -67,10 +68,49 @@ def test_float64_global_image_is_shared_not_copied():
         assert np.shares_memory(res.compressed_tokens, gd.y_last)
 
 
-def test_global_image_rejected():
+def test_global_image_passes_through_compress_subimage():
     bundle = dataclasses.replace(_uniform_bundle(), is_global=True)
-    with pytest.raises(GlobalImageRejectedError):
-        compress_subimage(bundle)
+    res = compress_subimage(bundle)
+    assert res.is_global_passthrough and res.density_report is None
+    assert res.compressed_tokens is bundle.y_last and np.shares_memory(res.compressed_tokens,
+                                                                      bundle.y_last)
+    assert res.retained_indices.tolist() == list(range(bundle.n_tokens))
+    assert res.branch_provenance == [] and res.ratio == 1.0
+
+
+def test_bundle_keeps_the_arrays_it_checked():
+    bundle = _uniform_bundle()
+    for dtype in (np.float32, np.float64):
+        y, keys = bundle.y_last.astype(dtype), bundle.keys_low.astype(dtype)
+        b = dataclasses.replace(bundle, y_last=y, keys_low=keys,
+                                attn_low=bundle.attn_low.astype(dtype), grid_shape=[3, 3],
+                                crop_position=[1, 2])
+        assert b.y_last is y and b.keys_low is keys and b.cosine_low.keys is keys
+        assert b.attn_low.dtype == np.float64 and b.attn_deep.dtype == np.float64
+        assert b.grid_shape == (3, 3) and b.crop_position == (1, 2)
+
+
+def test_bundle_built_from_lists_compresses():
+    bundle = _uniform_bundle()
+    lists = dataclasses.replace(bundle, **{name: getattr(bundle, name).tolist() for name in (
+        "y_last", "keys_low", "attn_low", "keys_deep", "attn_deep")}, grid_shape=[3, 3])
+    assert lists.n_tokens == bundle.n_tokens
+    want, got = compress_subimage(bundle), compress_subimage(lists)
+    assert got.retained_indices.tolist() == want.retained_indices.tolist()
+    assert np.array_equal(got.compressed_tokens, want.compressed_tokens)
+
+
+def test_stage_error_keeps_its_type_and_names_the_sub_image():
+    bundle = dataclasses.replace(_uniform_bundle(), image_id="crop1")
+
+    def select(*_):
+        raise InsufficientSupportError(5, 2)
+
+    with pytest.raises(InsufficientSupportError, match="^crop1: cannot sample 5 tokens") as exc:
+        compress_subimage(bundle, select=select)
+    assert (exc.value.requested, exc.value.available) == (5, 2)
+    with pytest.raises(NeighborCountExceedsTokensError, match="^crop1: knn_k=9"):
+        compress_subimage(bundle, agg_cfg=AggregationConfig(knn_k=9))
 
 
 def test_branch_tags_and_counts():
