@@ -5,9 +5,11 @@ file paths plus grid shape and source metadata. Tensor paths are resolved
 relative to the manifest's directory.
 
 Sub-images are independent, so a document can be streamed: read_manifest
-checks the whole manifest, then load_entry, write_result and write_index
-take one sub-image at a time, as the CLI does. load_bundle and
-write_results do the same for a whole in-memory document.
+checks the whole manifest, then load_entry and write_result take one
+sub-image at a time and write_index comes last. The CLI runs at most two
+sub-images at once (workers.map_two), with BLAS pinned to one thread while
+two run, and writes its index and prints its lines in manifest order.
+load_bundle and write_results do the same for a whole in-memory document.
 """
 
 import json

@@ -17,6 +17,7 @@ from .masks import MAX_SCALE, PROVENANCE_LEVEL, render_masks
 from .pipeline import (HIST_BIN_WIDTH, compress_document, corpus_stats, is_file_name,
                        is_int_pair)
 from .selection import SelectionConfig
+from .workers import map_two
 
 
 def _load_config(path, seed_override=None):
@@ -63,23 +64,29 @@ def _config_meta(density_cfg, selection_cfg, agg_cfg, extra=None):
 
 
 def _compress_manifest(args, configs, config_meta, describe, select=None):
-    """Load, compress, write and drop one sub-image at a time; the index comes last.
+    """Load, compress, write and drop each sub-image, at most two at a time; the index comes last.
 
     read_manifest checks the whole manifest before any tensor is read, and
     open_results removes a stale index first, so a run that fails part way
     leaves no results.json. compress_document seeds every bundle afresh, so
-    one call per bundle gives the bytes of one call over the document.
+    one call per bundle gives the bytes of one call over the document, in
+    whichever order the bundles run. workers.map_two holds at most two
+    sub-images, with BLAS pinned to one thread while two run, and hands
+    back each entry's index entry and line in manifest order.
     `describe(bundle, res)` is the line printed per sub-image.
     """
     entries = read_manifest(args.manifest)
     out = open_results(args.out)
-    index = []
-    for entry in entries:
+
+    def one(entry):
         bundle = load_entry(entry)
         res = compress_document([bundle], *configs, select)[0]
-        index.append(write_result(out, bundle.image_id, bundle, res, config_meta))
-        print(describe(bundle, res))
-        del bundle, res  # so the next sub-image loads with none of this one alive
+        return write_result(out, bundle.image_id, bundle, res, config_meta), describe(bundle, res)
+
+    index = []
+    for item, line in map_two(one, entries):
+        index.append(item)
+        print(line)
     write_index(out, index, config_meta)
     return 0
 
@@ -101,16 +108,17 @@ def _cmd_density(args):
         cfg = DensityConfig(alpha=args.alpha, limit_k=args.limit_k)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    entries = read_manifest(args.manifest)
-    print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
-    for entry in entries:
+
+    def row(entry):
         b = load_entry(entry)
         rep = compute_density(b.cosine_low, cfg)
-        print(
-            f"{b.image_id:<24} {b.n_tokens:>6} {rep.n_redundant:>6} "
-            f"{rep.redundancy:>11.4f} {rep.density:>9.4f}"
-        )
-        del b, rep  # drop it before the next sub-image is loaded
+        return (f"{b.image_id:<24} {b.n_tokens:>6} {rep.n_redundant:>6} "
+                f"{rep.redundancy:>11.4f} {rep.density:>9.4f}")
+
+    entries = read_manifest(args.manifest)
+    print(f"{'image_id':<24} {'N':>6} {'N_R':>6} {'redundancy':>11} {'density':>9}")
+    for line in map_two(row, entries):
+        print(line)
     return 0
 
 

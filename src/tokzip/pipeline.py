@@ -194,6 +194,13 @@ def compress_document(
     Each bundle gets its own generator seeded from selection_cfg.seed, so
     results do not depend on processing order and identical bundles under the
     same seed produce identical results.
+
+    The bundles run one after another, unlike the CLI's two at a time
+    (workers.map_two): a caller holding a whole document would hold a second
+    crop's working set on top of it. Measured on N=2304 documents, pooling
+    this loop cut the latency of text-heavy crops by a fifth but raised the
+    peak memory of sparse ones from 368 to 384-414 MiB, since the second
+    thread's allocator arena keeps about 19 MiB of one crop's working set.
     """
     n_global = sum(1 for b in bundles if b.is_global)
     if n_global > 1:

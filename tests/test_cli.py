@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import tokzip
+import tokzip.errors
+import tokzip.workers
 from tokzip import (
     SelectionConfig,
     SyntheticSpec,
@@ -162,6 +165,9 @@ def _entry(stem, **fields):
 # The fixture's document, but the last tensor of its last entry is not a tensor file.
 LAST_TENSOR_BAD = (f"subimages: [{_entry('sub_a')}, {_entry('sub_b')}, "
                    f"{_entry('global', is_global='true', attn_deep='bad.tkzt')}]\n")
+# The same, with the bad tensor in the middle entry, which runs beside the entries around it.
+MIDDLE_TENSOR_BAD = (f"subimages: [{_entry('sub_a')}, {_entry('sub_b', attn_deep='bad.tkzt')}, "
+                     f"{_entry('global', is_global='true')}]\n")
 
 # A passed-through global image has no mask to check the grid against: N is its index count.
 HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch_provenance": [], '
@@ -192,6 +198,7 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # negative_seed and compress_negative_seed were one error line too, but it blamed the
 # config's selection section, which baseline does not even read, instead of --seed.
 # stage_error_names_the_crop was one error line too, but it did not say which crop failed.
+# middle_tensor_in_middle_entry was one error line too; its entry runs beside the ones around it.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -246,6 +253,8 @@ BAD_INPUTS = {
                           "density --manifest {t}/m.yaml"),
     "last_tensor_in_last_entry": ({"m.yaml": LAST_TENSOR_BAD, "bad.tkzt": "not a tensor"},
                                   "compress --manifest {t}/m.yaml --out {t}/run"),
+    "middle_tensor_in_middle_entry": ({"m.yaml": MIDDLE_TENSOR_BAD, "bad.tkzt": "not a tensor"},
+                                      "compress --manifest {t}/m.yaml --out {t}/run"),
     "labels_count": ({}, "stats --results {t}/run/results.json {t}/run/results.json --labels a "
                          "--out {t}/o"),
     "duplicate_image_id": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: same}}, "
@@ -295,7 +304,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert len(err) < 300 and "min_retained" in err
     if case == "labels_not_file_name":
         assert not list(tmp_path.glob("escaped*"))
-    if case == "last_tensor_in_last_entry":  # the good run's index would list new and old files
+    if case in ("last_tensor_in_last_entry", "middle_tensor_in_middle_entry"):
+        # the good run's index would list new and old files
         assert not (tmp_path / "run" / "results.json").exists()
     if case.endswith("_nested_too_deeply"):
         assert "nested too deeply" in err
@@ -389,18 +399,167 @@ def test_baseline_shares_the_compression_path(method, ratio, redundant_manifest,
     assert metas[2]["is_global_passthrough"]
 
 
-def test_compress_holds_one_sub_image_at_a_time(manifest, tmp_path, monkeypatch):
-    compressed = []  # a weak reference to each bundle compress_subimage was given
-    real = tokzip.pipeline.compress_subimage
+@pytest.fixture
+def pooled(monkeypatch):
+    """Two BLAS threads, so map_two pools: numpy's OpenBLAS set to 2 where it is found, else a
+    stand-in for it. Yields its thread-count getter and the counts map_two sets, in order."""
+    count = [2]
+    get, set_ = tokzip.workers.openblas_threads() or (lambda: count[0],
+                                                      lambda n: count.__setitem__(0, n))
+    before, sets = get(), []
+    set_(2)
+    monkeypatch.setattr(tokzip.workers, "openblas_threads",
+                        lambda: (get, lambda n: sets.append(n) or set_(n)))
+    yield get, sets
+    set_(before)
 
-    def tracking(bundle, *args):
-        compressed.append(weakref.ref(bundle))
-        assert [ref() is not None for ref in compressed] == [False] * (len(compressed) - 1) + [True]
-        return real(bundle, *args)
 
-    monkeypatch.setattr(tokzip.pipeline, "compress_subimage", tracking)
+def blas_unavailable(monkeypatch):
+    """The serial fallback: map_two finds no BLAS library to pin."""
+    monkeypatch.setattr(tokzip.workers, "openblas_threads", lambda: None)
+
+
+@pytest.mark.parametrize("mode", ["pooled", "serial"])
+def test_compress_holds_at_most_two_sub_images_at_a_time(mode, manifest, tmp_path, monkeypatch,
+                                                         request):
+    if mode == "pooled":
+        request.getfixturevalue("pooled")
+    else:
+        blas_unavailable(monkeypatch)
+    loaded, most = [], [0]  # a weak reference to each bundle loaded; the most alive at once
+    lock = threading.Lock()
+    real_load, real_compress = tokzip.cli.load_entry, tokzip.pipeline.compress_subimage
+
+    def count_alive():
+        with lock:
+            most[0] = max(most[0], sum(ref() is not None for ref in loaded))
+
+    def loading(entry):
+        bundle = real_load(entry)
+        with lock:
+            loaded.append(weakref.ref(bundle))
+        count_alive()
+        return bundle
+
+    def compressing(bundle, *args):
+        count_alive()
+        return real_compress(bundle, *args)
+
+    monkeypatch.setattr(tokzip.cli, "load_entry", loading)
+    monkeypatch.setattr(tokzip.pipeline, "compress_subimage", compressing)
     assert main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 0
-    assert len(compressed) == 3  # the global image passes through compress_subimage too
+    assert len(loaded) == 3  # the global image passes through compress_subimage too
+    assert most[0] == 1 if mode == "serial" else 1 <= most[0] <= 2
+
+
+def test_pooled_and_serial_trees_are_byte_identical(redundant_manifest, tmp_path, monkeypatch,
+                                                    capsys, pooled):
+    get, sets = pooled
+    seen = []  # the BLAS thread count each compress_subimage call ran under
+    real = tokzip.pipeline.compress_subimage
+    monkeypatch.setattr(tokzip.pipeline, "compress_subimage",
+                        lambda *args: seen.append(get()) or real(*args))
+    args = ["compress", "--manifest", str(redundant_manifest), "--seed", "3", "--out"]
+    assert main(args + [str(tmp_path / "pooled")]) == 0
+    assert seen == [1, 1, 1] and sets == [1, 2]  # pinned to 1, then restored
+    pooled_out = capsys.readouterr().out
+    blas_unavailable(monkeypatch)
+    assert main(args + [str(tmp_path / "serial")]) == 0
+    assert seen[3:] == [2, 2, 2]
+    assert capsys.readouterr().out == pooled_out
+    assert _tree_hash(tmp_path / "pooled") == _tree_hash(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_blas_threads_are_restored_after_a_pooled_run(fails, manifest, tmp_path, monkeypatch,
+                                                      pooled):
+    get, sets = pooled
+    if fails:
+        def failing(bundle, *args):
+            raise tokzip.errors.TokzipError(f"{bundle.image_id}: broken")
+
+        monkeypatch.setattr(tokzip.pipeline, "compress_subimage", failing)
+    code = main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+    assert code == int(fails)
+    assert sets == [1, 2] and get() == 2
+
+
+def gated_loads(monkeypatch, gates):
+    """Replace the CLI's load_entry; gates maps an image_id to a function run before its load.
+
+    Returns the image_ids in the order their loads began."""
+    started, real = [], tokzip.cli.load_entry
+
+    def loading(entry):
+        started.append(entry["image_id"])
+        gates.get(entry["image_id"], lambda: None)()
+        return real(entry)
+
+    monkeypatch.setattr(tokzip.cli, "load_entry", loading)
+    return started
+
+
+@pytest.fixture
+def four_manifest(tmp_path):
+    bundles = [dataclasses.replace(
+        generate(SyntheticSpec(n_tokens=16, dim=20, redundancy_fraction=0.5, seed=s)),
+        image_id=f"e{s}") for s in range(4)]
+    return write_bundle(tmp_path / "four", bundles)
+
+
+def _wait(event):
+    assert event.wait(timeout=60), "the other sub-image never ran alongside"
+
+
+def test_a_later_failure_prints_the_earlier_line_first(four_manifest, tmp_path, monkeypatch,
+                                                       capsys, pooled):
+    failed = threading.Event()
+
+    def fail():
+        failed.set()
+        raise tokzip.errors.TokzipError("e2: broken")
+
+    started = gated_loads(monkeypatch, {"e1": lambda: _wait(failed), "e2": fail})
+    out = tmp_path / "o"
+    assert main(["compress", "--manifest", str(four_manifest), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["e0", "e1"]
+    assert captured.err == "error: TokzipError: e2: broken\n"
+    assert sorted(started) == ["e0", "e1", "e2"]  # e3 is never started
+    assert not (out / "results.json").exists()
+
+
+def test_an_earlier_failure_prints_only_the_lines_before_it(four_manifest, tmp_path, monkeypatch,
+                                                            capsys, pooled):
+    later, failed = threading.Event(), threading.Event()
+
+    def fail():
+        _wait(later)  # e2 is running on the other thread
+        failed.set()
+        raise tokzip.errors.TokzipError("e1: broken")
+
+    def run_later():
+        later.set()
+        _wait(failed)
+
+    started = gated_loads(monkeypatch, {"e1": fail, "e2": run_later})
+    out = tmp_path / "o"
+    assert main(["compress", "--manifest", str(four_manifest), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["e0"]
+    assert captured.err == "error: TokzipError: e1: broken\n"
+    assert sorted(started) == ["e0", "e1", "e2"]
+    assert not (out / "results.json").exists()
+
+
+def test_density_table_is_the_same_pooled_and_serial(four_manifest, monkeypatch, capsys, pooled):
+    args = ["density", "--manifest", str(four_manifest), "--limit-k", "3"]
+    assert main(args) == 0
+    table = capsys.readouterr().out
+    blas_unavailable(monkeypatch)
+    assert main(args) == 0
+    assert capsys.readouterr().out == table
+    assert [row.split()[0] for row in table.splitlines()] == ["image_id", "e0", "e1", "e2", "e3"]
 
 
 # Every config field, as (section, key); values at and past the extremes of each type.

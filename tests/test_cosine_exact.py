@@ -77,6 +77,20 @@ def _tree_digest(root):
     return h.hexdigest()
 
 
+# Runs the CLI on argv, then prints the BLAS thread count before the run and the count
+# each compress_subimage call ran under: 1 in a run that started with 2 means it pooled.
+BLAS_PROBE = """
+import sys, tokzip.cli, tokzip.pipeline, tokzip.workers
+blas, real, seen = tokzip.workers.openblas_threads(), tokzip.pipeline.compress_subimage, []
+get = blas[0] if blas else lambda: 0
+tokzip.pipeline.compress_subimage = lambda *args: seen.append(get()) or real(*args)
+before = get()
+code = tokzip.cli.main(sys.argv[1:])
+print(before, *seen)
+sys.exit(code)
+"""
+
+
 def test_compress_tree_is_the_same_under_one_and_two_blas_threads(tmp_path):
     keys = copied_gaussian_keys()
     n, d = keys.shape
@@ -94,16 +108,21 @@ def test_compress_tree_is_the_same_under_one_and_two_blas_threads(tmp_path):
         for i in range(2)
     ]
     manifest = write_bundle(tmp_path / "in", bundles)
-    digests = set()
+    digests, probes = set(), {}
     for threads in ("1", "2"):
         out = tmp_path / f"out{threads}"
         env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads}
-        subprocess.run([sys.executable, "-m", "tokzip.cli", "compress", "--manifest",
-                        str(manifest), "--out", str(out)], env=env, check=True,
-                       capture_output=True, timeout=300)
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE, "compress", "--manifest",
+                               str(manifest), "--out", str(out)], env=env, check=True,
+                              capture_output=True, text=True, timeout=300)
         digests.add(_tree_digest(out))
+        probes[threads] = done.stdout.splitlines()[-1].split()
     assert len(digests) == 1
+    if probes["2"][0] != "2":
+        pytest.skip(f"numpy's OpenBLAS was not found or not at 2 threads: {probes['2'][0]}")
+    assert probes["2"] == ["2", "1", "1"]  # pooled, with BLAS pinned to one thread
+    assert probes["1"] == ["1", "1", "1"]  # serial
 
 
 @st.composite
