@@ -6,10 +6,11 @@ relative to the manifest's directory.
 
 Sub-images are independent, so a document can be streamed: read_manifest
 checks the whole manifest, then load_entry and write_result take one
-sub-image at a time and write_index comes last. The CLI runs at most two
-sub-images at once (workers.map_two), with BLAS pinned to one thread while
-two run, and writes its index and prints its lines in manifest order.
-load_bundle and write_results do the same for a whole in-memory document.
+sub-image at a time and write_index comes last. load_bundle and
+write_results do the same for a whole in-memory document. The CLI runs at
+most two sub-images at once (workers.map_two), with BLAS pinned to one
+thread while two run, and writes its index and prints its lines in
+manifest order.
 """
 
 import json
