@@ -6,16 +6,24 @@ core.CosineKeys.nearest) and replaced by the attention-weighted sum of the
 group, so unretained content is folded in rather than dropped.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CosineKeys, as_matrix, check_attention_vector
-from .errors import DimensionMismatchError, EmptyRetentionError, NonFiniteValueError
+from .errors import (DimensionMismatchError, EmptyRetentionError, NonFiniteValueError,
+                     check_field, is_number)
 
 # Rows per group-sum block: one block's float64 gather, SUM_ROWS x
 # (knn_k + 1) x D, is 0.5 MiB at knn_k = 3 and D = 1024.
 SUM_ROWS = 16
+
+CONFIG_RULES = {
+    "knn_k": (lambda v: is_number(v, numbers.Integral) and v >= 0, "an integer >= 0"),
+    "include_self": (lambda v: type(v) is bool, "a bool"),
+    "normalize_weights": (lambda v: type(v) is bool, "a bool"),
+}
 
 
 @dataclass(frozen=True)
@@ -34,8 +42,8 @@ class AggregationConfig:
     normalize_weights: bool = True
 
     def __post_init__(self):
-        if self.knn_k < 0:
-            raise ValueError(f"knn_k must be >= 0, got {self.knn_k}")
+        for name in CONFIG_RULES:
+            check_field(CONFIG_RULES, name, getattr(self, name), error=ValueError)
         if self.knn_k == 0 and not self.include_self:
             raise ValueError("empty aggregation group: knn_k=0 with include_self=False")
 

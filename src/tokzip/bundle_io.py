@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from .errors import MultipleGlobalImagesError, ParseError, TokzipError
-from .pipeline import FIELD_RULES, SubImageBundle, check_field
+from .errors import MultipleGlobalImagesError, ParseError, TokzipError, check_field, is_number
+from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle, is_file_name
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -91,7 +91,7 @@ def read_manifest(manifest_path):
         fields = {"grid_shape": None, "is_global": False, "dataset": "default",
                   "image_id": f"subimage_{i}", "crop_position": (0, 0)}
         try:
-            fields.update({name: check_field(name, entry[name], f"subimage {i}: ")
+            fields.update({name: check_field(FIELD_RULES, name, entry[name], f"subimage {i}: ")
                            for name in FIELD_RULES if name in entry})
         except TokzipError as e:
             raise ParseError(str(e), where) from None
@@ -185,6 +185,23 @@ def open_results(out_dir):
     return out_dir
 
 
+# Per field of a meta JSON that write_result writes, a test of its value and what it asks for.
+# load_results applies it (the pass-through's redundant_mask is optional) and checks that
+# grid_shape tiles N, the length of the mask or of retained_indices. Errors name the file.
+META_RULES = {
+    "image_id": (lambda v: type(v) is str and is_file_name(v), "a file name"),
+    "grid_shape": FIELD_RULES["grid_shape"],
+    "is_global_passthrough": FIELD_RULES["is_global"],
+    "ratio": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "retained_indices": (lambda v: type(v) is list and all(type(i) is int for i in v),
+                         "a list of integers"),
+    "branch_provenance": (lambda v: type(v) is list and all(t in BRANCH_TAGS for t in v),
+                          f"a list of {BRANCH_TAGS}"),
+    "redundant_mask": (lambda v: type(v) is list and all(type(r) is bool for r in v),
+                       "a list of bools"),
+}
+
+
 def write_result(out_dir, stem, bundle, res, config_meta):
     """Write one sub-image's tokens and metadata as <stem>_*; returns its index entry.
 
@@ -246,7 +263,7 @@ def _read_json_mapping(path, what):
 
 
 def load_results(results_path):
-    """Read back a results.json index and its per-sub-image metadata."""
+    """Read back a results.json index and its per-sub-image metadata, each meta checked once."""
     results_path = Path(results_path)
     index = _read_json_mapping(results_path, "results index")
     if not isinstance(index.get("subimages"), list):
@@ -257,7 +274,15 @@ def load_results(results_path):
         if not (isinstance(entry, dict) and isinstance(entry.get("meta"), str)
                 and isinstance(entry.get("tokens"), str)):
             raise ParseError(f"subimage {i} needs 'meta' and 'tokens' file names", str(results_path))
-        meta = _read_json_mapping(base / entry["meta"], "sub-image metadata")
+        where = str(base / entry["meta"])
+        meta = _read_json_mapping(where, "sub-image metadata")
+        for name in META_RULES:  # is_global_passthrough comes before redundant_mask
+            if name != "redundant_mask" or name in meta or not meta["is_global_passthrough"]:
+                check_field(META_RULES, name, meta.get(name), error=lambda m: ParseError(m, where))
+        rows, cols = meta["grid_shape"]
+        n = len(meta.get("redundant_mask", meta["retained_indices"]))
+        if rows * cols != n:
+            raise ParseError(f"grid_shape {[rows, cols]} does not tile {n} tokens", where)
         meta["tokens_path"] = str(base / entry["tokens"])
         out.append(meta)
     return out

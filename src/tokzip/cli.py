@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -13,9 +14,8 @@ from .bundle_io import (_json_dump, load_entry, load_results, open_results, read
 from .density import DensityConfig, compute_density
 from .errors import ParseError, TokzipError, UsageError, short_repr
 from .harness import baseline_select, oracle_suite
-from .masks import MAX_SCALE, PROVENANCE_LEVEL, render_masks
-from .pipeline import (HIST_BIN_WIDTH, compress_document, corpus_stats, is_file_name,
-                       is_int_pair)
+from .masks import MAX_SCALE, render_masks
+from .pipeline import HIST_BIN_WIDTH, compress_document, corpus_stats, is_file_name
 from .selection import SelectionConfig
 from .workers import map_two
 
@@ -38,13 +38,9 @@ def _load_config(path, seed_override=None):
         values = dict(values)
         if section == "selection" and seed_override is not None:
             values["seed"] = seed_override
-        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-        for key, value in values.items():
-            if key not in types:
+        for key in values:
+            if key not in {f.name for f in dataclasses.fields(cls)}:
                 raise ParseError(f"unknown key {short_repr(key)} in section {section!r}", path)
-            if not (type(value) is types[key] or types[key] is float and type(value) is int):
-                raise ParseError(f"section {section!r}: {key} must be of type "
-                                 f"{types[key].__name__}, got {short_repr(value)}", path)
         try:
             configs.append(cls(**values))
         except ValueError as e:
@@ -125,20 +121,15 @@ def _cmd_density(args):
 def _cmd_stats(args):
     if args.labels and len(args.labels) != len(args.results):
         raise UsageError(f"{len(args.labels)} --labels for {len(args.results)} --results")
-    if not all(is_file_name(label) for label in args.labels or ()):
-        raise UsageError(f"--labels must be file names, got {args.labels}")
+    names = args.labels or [Path(os.path.abspath(path)).parent.name for path in args.results]
+    if not all(is_file_name(label) for label in names):
+        raise UsageError(f"labels must be file names, got {short_repr(names)}")
     ratios, labels = [], []
-    for i, results_path in enumerate(args.results):
-        label = args.labels[i] if args.labels else Path(results_path).parent.name
+    for label, results_path in zip(names, args.results):
         for meta in load_results(results_path):
-            if meta.get("is_global_passthrough"):
-                continue
-            ratio = meta.get("ratio")
-            if type(ratio) not in (int, float) or not 0 <= ratio <= 1:
-                raise ParseError(f"{meta.get('image_id')!r}: ratio must be a number in [0, 1]",
-                                 results_path)
-            ratios.append(ratio)
-            labels.append(label)
+            if not meta["is_global_passthrough"]:
+                ratios.append(meta["ratio"])
+                labels.append(label)
     stats = corpus_stats(ratios, labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,37 +149,19 @@ def _cmd_stats(args):
     return 0
 
 
-def _meta_list(meta, key, valid, where):
-    """meta[key] as a list of items that pass valid(); ParseError otherwise."""
-    value = meta.get(key)
-    if not isinstance(value, list) or not all(valid(x) for x in value):
-        raise ParseError(f"{meta.get('image_id')!r}: {key} is missing or has a bad entry", where)
-    return value
-
-
 def _cmd_masks(args):
     if not 1 <= args.scale <= MAX_SCALE:
         raise UsageError(f"--scale must be in [1, {MAX_SCALE}], got {args.scale}")
     known = {entry["image_id"] for entry in read_manifest(args.manifest)}
-    out, where = Path(args.out), args.results
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for meta in load_results(where):
-        image_id = meta.get("image_id")
-        if not isinstance(image_id, str) or image_id not in known:
-            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", where)
-        # N is the length of the mask, or of the passed-through global image's retained indices
-        passthrough = bool(meta.get("is_global_passthrough"))
-        mask = (None if passthrough else
-                _meta_list(meta, "redundant_mask", lambda r: type(r) is bool, where))
-        retained = _meta_list(meta, "retained_indices", lambda i: type(i) is int, where)
-        n = len(mask if mask is not None else retained)
-        tags = _meta_list(meta, "branch_provenance",
-                          lambda t: isinstance(t, str) and t in PROVENANCE_LEVEL, where)
-        grid = meta.get("grid_shape")
-        if not is_int_pair(grid, 1) or grid[0] * grid[1] != n:
-            raise ParseError(f"{image_id!r}: grid_shape {grid!r} does not tile {n} tokens", where)
-        red, sel = render_masks(grid, retained, tags, mask, passthrough, out / image_id,
-                                scale=args.scale)
+    for meta in load_results(args.results):
+        image_id = meta["image_id"]
+        if image_id not in known:
+            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", args.results)
+        red, sel = render_masks(meta["grid_shape"], meta["retained_indices"],
+                                meta["branch_provenance"], meta.get("redundant_mask"),
+                                meta["is_global_passthrough"], out / image_id, scale=args.scale)
         print(f"{image_id}: wrote {red.name}, {sel.name}")
     return 0
 

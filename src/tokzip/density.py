@@ -9,11 +9,19 @@ sub-image is. The density of a sub-image is the fraction of non-redundant
 tokens and later doubles as its local-branch sampling ratio.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CosineKeys
+from .errors import check_field, is_number
+
+CONFIG_RULES = {
+    "alpha": (lambda v: is_number(v) and -1.0 < v < 1.0, "a number in (-1, 1)"),
+    "limit_k": (lambda v: is_number(v, numbers.Integral) and v >= 0, "an integer >= 0"),
+    "count_self": (lambda v: type(v) is bool, "a bool"),
+}
 
 
 @dataclass(frozen=True)
@@ -31,10 +39,8 @@ class DensityConfig:
     count_self: bool = False
 
     def __post_init__(self):
-        if not -1.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (-1, 1), got {self.alpha}")
-        if self.limit_k < 0:
-            raise ValueError(f"limit_k must be >= 0, got {self.limit_k}")
+        for name in CONFIG_RULES:
+            check_field(CONFIG_RULES, name, getattr(self, name), error=ValueError)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""Exception types raised across the package, and the repr their messages give a value."""
+"""Exception types raised across the package, the repr their messages give a value, and
+check_field, which applies a table of field rules."""
 
+import numbers
 import reprlib
 
 # A value in an error message shows one level of its containers, a few items
@@ -15,10 +17,23 @@ short_repr = _SHORT.repr
 class TokzipError(Exception):
     """Base class of the errors this package raises for bad input.
 
-    Arguments out of range raise ValueError (the config classes, SyntheticSpec,
-    local_sample_count, local_select, quantile, corpus_stats, baseline_select,
-    write_pgm) or IndexError (CosineKeys.nearest).
+    Arguments out of range, and config fields of the wrong type, raise ValueError (the
+    config classes, SyntheticSpec, local_sample_count, local_select, quantile,
+    corpus_stats, baseline_select, write_pgm) or IndexError (CosineKeys.nearest).
     """
+
+
+def is_number(value, kind=numbers.Real):
+    """Whether value is of kind (numbers.Real or numbers.Integral), numpy's too, and no bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_field(rules, name, value, where="", error=TokzipError):
+    """value, a list as a tuple, if it passes rules[name], a (test, what it asks for) pair."""
+    test, wanted = rules[name]
+    if not test(value):
+        raise error(f"{where}{name} must be {wanted}, got {short_repr(value)}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 class ZeroRowError(TokzipError):

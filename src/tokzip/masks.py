@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridMismatchError
+from .pipeline import BRANCH_TAGS
 
 LEVEL_DROPPED = 0
 LEVEL_LOCAL = 128
@@ -19,12 +20,8 @@ LEVEL_GLOBAL = 255
 # The largest scale: a 48 x 48 grid becomes a 3072 x 3072 raster, about 37 MB of text.
 MAX_SCALE = 64
 
-PROVENANCE_LEVEL = {
-    "global": LEVEL_GLOBAL,
-    "both": LEVEL_GLOBAL,
-    "local": LEVEL_LOCAL,
-    "fallback": LEVEL_LOCAL,
-}
+# A tag's gray level: global where the global branch kept the token, as in the odd BRANCH_TAGS.
+PROVENANCE_LEVEL = {tag: (LEVEL_LOCAL, LEVEL_GLOBAL)[i % 2] for i, tag in enumerate(BRANCH_TAGS)}
 
 
 def write_pgm(path, grid, scale=1):
@@ -54,14 +51,17 @@ def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
     tags; redundant_mask is its density report's bool mask, or None when it
     has none; passthrough marks the uncompressed global image, drawn as all
     retained. Returns the two written paths. Patch index i maps to grid cell
-    (i // cols, i % cols), matching raster token order. Before writing, it
-    checks each index is in [0, N) and has a tag (the passthrough has none).
+    (i // cols, i % cols), matching raster token order. Before any raster is
+    made, it checks the grid tiles the mask or the passthrough's indices, and
+    each index is in [0, N) and has a tag (the passthrough has none).
     """
     out_prefix = Path(out_prefix)
     rows, cols = grid_shape
     n = rows * cols
     if redundant_mask is not None and np.size(redundant_mask) != n:
         raise GridMismatchError(f"grid {grid_shape} does not tile {np.size(redundant_mask)} tokens")
+    if passthrough and len(retained) != n:
+        raise GridMismatchError(f"grid {grid_shape} does not tile {len(retained)} tokens")
     indices = np.asarray(retained)
     if (outside := indices[(indices < 0) | (indices >= n)]).size:
         raise GridMismatchError(f"{out_prefix.name}: retained index {outside[0]} not in [0, {n})")

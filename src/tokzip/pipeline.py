@@ -14,7 +14,7 @@ from .aggregation import AggregationConfig, aggregate
 from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
 from .errors import (DimensionMismatchError, EmptyCorpusError, MultipleGlobalImagesError,
-                     TokzipError, short_repr)
+                     TokzipError, check_field)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -44,14 +44,6 @@ FIELD_RULES = {
     "is_global": (lambda v: type(v) is bool, "a bool"),
     "dataset": (lambda v: type(v) is str, "a str"),
 }
-
-
-def check_field(name, value, where):
-    """value, a pair as a tuple, if it passes FIELD_RULES[name]; else TokzipError after where."""
-    test, wanted = FIELD_RULES[name]
-    if not test(value):
-        raise TokzipError(f"{where}{name} must be {wanted}, got {short_repr(value)}")
-    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class SubImageBundle:
     cosine_deep: CosineKeys = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_field("image_id", self.image_id, "sub-image: ")  # the others' errors name it
+        check_field(FIELD_RULES, "image_id", self.image_id, "sub-image: ")  # later errors name it
         where = self.where
         y = as_matrix(self.y_last, where + "y_last")
         check_finite(y, where + "y_last")
@@ -107,7 +99,8 @@ class SubImageBundle:
                 raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
             object.__setattr__(self, name, a)
         for name in FIELD_RULES:
-            object.__setattr__(self, name, check_field(name, getattr(self, name), where))
+            object.__setattr__(self, name, check_field(FIELD_RULES, name, getattr(self, name),
+                                                       where))
         rows, cols = self.grid_shape
         if rows * cols != n:
             raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")

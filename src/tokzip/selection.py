@@ -6,12 +6,19 @@ with the sample count set by the sub-image's information density.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import check_attention_vector, quantile
-from .errors import InsufficientSupportError
+from .errors import InsufficientSupportError, check_field, is_number
+
+CONFIG_RULES = {
+    "iqr_factor": (lambda v: is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0"),
+    "min_retained": (lambda v: is_number(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: is_number(v, numbers.Integral) and v >= 0, "an integer >= 0"),
+}
 
 
 @dataclass(frozen=True)
@@ -21,12 +28,8 @@ class SelectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.iqr_factor) and self.iqr_factor > 0):
-            raise ValueError(f"iqr_factor must be finite and > 0, got {self.iqr_factor}")
-        if self.min_retained < 1:
-            raise ValueError(f"min_retained must be >= 1, got {self.min_retained}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in CONFIG_RULES:
+            check_field(CONFIG_RULES, name, getattr(self, name), error=ValueError)
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,8 @@ def merge_indices(global_indices, local_indices, attn_low, cfg=SelectionConfig()
     if merged.size < want:
         # Stable argsort on negated scores ranks by score desc, then index asc.
         by_score = np.argsort(-scores, kind="stable")
-        have = set(merged.tolist())
-        extra = [i for i in by_score[:want] if i not in have]
-        merged = np.sort(np.concatenate([merged, np.asarray(extra[: want - merged.size], dtype=np.intp)]))
+        extra = by_score[~np.isin(by_score, merged)][: want - merged.size]
+        merged = np.sort(np.concatenate([merged, extra]))
     return merged
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +11,9 @@ import tokzip.bundle_io
 from tokzip.bundle_io import read_manifest, read_yaml
 from tokzip import (
     SyntheticSpec,
+    baseline_select,
     compress_document,
+    compress_subimage,
     generate,
     load_bundle,
     load_results,
@@ -188,6 +191,19 @@ def test_results_round_trip(tmp_path):
 
         tokens = read_tensor(meta["tokens_path"])
         assert tokens.shape == res.compressed_tokens.shape
+
+
+def test_load_results_accepts_what_write_result_writes(tmp_path):
+    crop = _small_bundle(seed=1, n=8)
+    bundles = [crop, dataclasses.replace(crop, image_id="fixed"),
+               dataclasses.replace(_small_bundle(seed=2, n=8), is_global=True, image_id="global")]
+    fixed = functools.partial(baseline_select, "fixed", ratio=0.5)
+    results = [compress_subimage(b, select=select)
+               for b, select in zip(bundles, (None, fixed, None))]
+    write_results(tmp_path / "out", bundles, results, {"seed": 0})
+    metas = load_results(tmp_path / "out" / "results.json")
+    assert [m["is_global_passthrough"] for m in metas] == [False, False, True]
+    assert [m["retained_indices"] for m in metas] == [r.retained_indices.tolist() for r in results]
 
 
 def test_repeated_file_stem_refused(tmp_path):

@@ -92,6 +92,17 @@ def test_stats_outputs(manifest, tmp_path, capsys):
     assert (tmp_path / "stats" / "demo_boxplot.csv").exists()
 
 
+def test_stats_labels_an_index_in_the_working_directory(manifest, tmp_path, capsys, monkeypatch):
+    main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path / "run")
+    assert main(["stats", "--results", "results.json", "--out", "../stats"]) == 0
+    assert capsys.readouterr().out.startswith("run: n=2 ")
+    assert sorted(p.name for p in (tmp_path / "stats").iterdir()) == [
+        "run_boxplot.csv", "run_hist.csv", "stats.json"]
+    assert list(json.loads((tmp_path / "stats" / "stats.json").read_text())["datasets"]) == ["run"]
+
+
 def test_masks_command(manifest, tmp_path):
     main(["compress", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
     assert main(["masks", "--manifest", str(manifest),
@@ -171,12 +182,17 @@ MIDDLE_TENSOR_BAD = (f"subimages: [{_entry('sub_a')}, {_entry('sub_b', attn_deep
 
 # A passed-through global image has no mask to check the grid against: N is its index count.
 HUGE_GRID_META = ('{"image_id": "global", "is_global_passthrough": true, "branch_provenance": [], '
-                  '"grid_shape": [3000000, 300000], "retained_indices": [0, 1, 2, 3]}')
+                  '"grid_shape": [3000000, 300000], "retained_indices": [0, 1, 2, 3], '
+                  '"ratio": 1.0}')
+
+# The fields load_results checks in a meta of sub_a, which keeps 4 of its 16 tokens.
+SUB_A_META = {"image_id": "sub_a", "grid_shape": [4, 4], "is_global_passthrough": False,
+              "ratio": 0.25, "retained_indices": [0, 5, 10, 15],
+              "branch_provenance": ["local"] * 4, "redundant_mask": [False] * 16}
 
 # sub_a's meta, but its retained index is negative: render_masks, not only masks, refuses it.
-NEGATIVE_INDEX_META = json.dumps({"image_id": "sub_a", "redundant_mask": [False] * 16,
-                                  "retained_indices": [-1], "branch_provenance": ["local"],
-                                  "grid_shape": [4, 4]})
+NEGATIVE_INDEX_META = json.dumps(SUB_A_META | {"retained_indices": [-1],
+                                               "branch_provenance": ["local"]})
 
 # A 184-byte config whose min_retained is a list of aliases nested four levels
 # deep: its full repr is 107,697 characters.
@@ -198,6 +214,10 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # negative_seed and compress_negative_seed were one error line too, but it blamed the
 # config's selection section, which baseline does not even read, instead of --seed.
 # stage_error_names_the_crop was one error line too, but it did not say which crop failed.
+# stats and masks exited 0 on a meta whose is_global_passthrough was 'false': stats dropped
+# the crop and masks drew it as the global image; stats read an unknown branch tag. The
+# meta errors named results.json, not the meta file, and a results.json in the root folder
+# failed on the missing file, where one that existed would have been labelled ''.
 # middle_tensor_in_middle_entry was one error line too; its entry runs beside the ones around it.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
@@ -229,9 +249,22 @@ BAD_INPUTS = {
                          "density --manifest {t}/m.yaml"),
     "meta_json_list": ({"results.json": ONE_META, "m.json": "[]"},
                        "stats --results {t}/results.json --out {t}/o"),
-    "meta_without_ratio": ({"results.json": ONE_META, "m.json": '{"image_id": "sub_a"}'},
+    "meta_without_ratio": ({"results.json": ONE_META,
+                            "m.json": json.dumps({k: v for k, v in SUB_A_META.items()
+                                                  if k != "ratio"})},
                            "stats --results {t}/results.json --out {t}/o"),
-    "masks_unknown_image_id": ({"results.json": ONE_META, "m.json": '{"image_id": "nope"}'},
+    "stats_meta_passthrough_not_bool": ({"results.json": ONE_META, "m.json": json.dumps(
+                                            SUB_A_META | {"is_global_passthrough": "false"})},
+                                        "stats --results {t}/results.json --out {t}/o"),
+    "masks_meta_passthrough_not_bool": ({"results.json": ONE_META, "m.json": json.dumps(
+                                            SUB_A_META | {"is_global_passthrough": "false"})},
+                                        "masks --manifest {manifest} --results {t}/results.json "
+                                        "--out {t}/o"),
+    "meta_unknown_branch_tag": ({"results.json": ONE_META, "m.json": json.dumps(
+                                    SUB_A_META | {"branch_provenance": ["local"] * 3 + ["kept"]})},
+                                "stats --results {t}/results.json --out {t}/o"),
+    "masks_unknown_image_id": ({"results.json": ONE_META,
+                                "m.json": json.dumps(SUB_A_META | {"image_id": "nope"})},
                                "masks --manifest {manifest} --results {t}/results.json --out {t}/o"),
     "image_id_with_slash": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: ../x}}]\n"},
                             "compress --manifest {t}/m.yaml --out {t}/o"),
@@ -268,6 +301,7 @@ BAD_INPUTS = {
                        "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "labels_not_file_name": ({}, "stats --results {t}/run/results.json --labels ../escaped "
                                  "--out {t}/o"),
+    "label_of_the_root_folder": ({}, "stats --results /results.json --out {t}/o"),
     "masks_meta_grid_too_large": ({"results.json": ONE_META, "m.json": HUGE_GRID_META},
                                   "masks --manifest {manifest} --results {t}/results.json "
                                   "--out {t}/o"),
@@ -311,6 +345,20 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert "nested too deeply" in err
     if case == "stage_error_names_the_crop":
         assert err.startswith("error: NeighborCountExceedsTokensError: sub_a: knn_k=100")
+    if "meta_" in case:
+        assert f"{tmp_path / 'm.json'}: " in err
+    if case.endswith("passthrough_not_bool"):
+        assert "is_global_passthrough must be a bool, got 'false'" in err
+    if case == "meta_unknown_branch_tag":
+        assert "branch_provenance must be a list of" in err
+    if case == "masks_unknown_image_id":
+        assert "'nope' is not in" in err
+    if case == "masks_meta_grid_too_large":
+        assert "does not tile 4 tokens" in err
+    if case == "masks_negative_retained_index":
+        assert err.startswith("error: GridMismatchError: sub_a: retained index -1")
+    if case == "label_of_the_root_folder":
+        assert "labels must be file names, got ['']" in err
 
 
 def test_nesting_deeper_than_the_c_stack_is_one_error_line(tmp_path):

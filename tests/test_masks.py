@@ -100,6 +100,12 @@ def test_render_masks_refuses_what_it_cannot_paint(retained, tags, tmp_path):
     render_masks((2, 2), [0, 1, 2, 3], [], None, True, tmp_path / "global")  # no tags to match
 
 
+def test_render_masks_refuses_a_passthrough_grid_that_does_not_tile(tmp_path):
+    with pytest.raises(GridMismatchError):
+        render_masks((2, 3), [0, 1, 2, 3], [], None, True, tmp_path / "global")
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_mismatch(tmp_path, clone_bundle, clone_density_cfg):
     res = compress_subimage(clone_bundle, clone_density_cfg)
     with pytest.raises(GridMismatchError):

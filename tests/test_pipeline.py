@@ -14,6 +14,7 @@ from tokzip import (
     compress_subimage,
     corpus_stats,
     generate,
+    local_select,
 )
 from tokzip.core import CosineKeys
 from tokzip.errors import (
@@ -111,6 +112,36 @@ def test_stage_error_keeps_its_type_and_names_the_sub_image():
     assert (exc.value.requested, exc.value.available) == (5, 2)
     with pytest.raises(NeighborCountExceedsTokensError, match="^crop1: knn_k=9"):
         compress_subimage(bundle, agg_cfg=AggregationConfig(knn_k=9))
+
+
+CONFIG_FIELDS = [(cls, f.name) for cls in (DensityConfig, SelectionConfig, AggregationConfig)
+                 for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls,name", CONFIG_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FIELDS])
+def test_config_refuses_mistyped_fields(cls, name):
+    kind = type(getattr(cls(), name))
+    bad = ["0.7", None] + (["no", 1] if kind is bool else [True]) + ([2.5] if kind is int else [])
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**{name: value})
+
+
+def test_config_takes_numpy_scalars():
+    cfg = SelectionConfig(seed=np.int64(5), min_retained=np.int32(2), iqr_factor=np.float64(2))
+    rng = np.random.default_rng(0)
+    attn = rng.random(30)
+    want = local_select(attn, 7, SelectionConfig(seed=5))
+    assert np.array_equal(local_select(attn, 7, cfg), want)
+    bundle = _uniform_bundle()
+    got = compress_subimage(bundle, DensityConfig(alpha=np.float64(0.5), limit_k=np.int64(0)),
+                            cfg, AggregationConfig(knn_k=np.int64(2)))
+    want = compress_subimage(bundle, DensityConfig(alpha=0.5, limit_k=0),
+                             SelectionConfig(seed=5, min_retained=2, iqr_factor=2.0),
+                             AggregationConfig(knn_k=2))
+    assert np.array_equal(got.retained_indices, want.retained_indices)
+    assert np.array_equal(got.compressed_tokens, want.compressed_tokens)
 
 
 def test_branch_tags_and_counts():
