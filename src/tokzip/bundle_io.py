@@ -22,7 +22,7 @@ import yaml
 from yaml.composer import Composer
 
 from .errors import MultipleGlobalImagesError, ParseError, TokzipError, check_field, is_number
-from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle, is_file_name
+from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -70,10 +70,10 @@ def read_yaml(path, what):
 def read_manifest(manifest_path):
     """Check all of a manifest that needs no tensor, and read none.
 
-    Returns per sub-image a dict of SubImageBundle's fields: each tensor field
-    holds its resolved path, and an absent grid_shape is None. Each metadata
-    field present must pass its rule in pipeline.FIELD_RULES; image_ids must
-    be non-empty and distinct, and at most one entry is the global image.
+    Returns per sub-image the SubImageBundle fields its entry gives, tensors
+    as resolved paths, plus image_id (default subimage_<i>) and grid_shape
+    (default None). Each metadata field must pass its pipeline.FIELD_RULES
+    rule, image_ids must be distinct, and at most one is the global image.
     """
     manifest_path = Path(manifest_path)
     where = str(manifest_path)
@@ -88,19 +88,16 @@ def read_manifest(manifest_path):
         for name, path in paths.items():
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"subimage {i} needs a file path '{name}'", where)
-        fields = {"grid_shape": None, "is_global": False, "dataset": "default",
-                  "image_id": f"subimage_{i}", "crop_position": (0, 0)}
+        fields = {"image_id": f"subimage_{i}", "grid_shape": None}
         try:
             fields.update({name: check_field(FIELD_RULES, name, entry[name], f"subimage {i}: ")
                            for name in FIELD_RULES if name in entry})
         except TokzipError as e:
             raise ParseError(str(e), where) from None
         image_id = fields["image_id"]
-        if not image_id:
-            raise ParseError(f"subimage {i}: image_id must not be empty", where)
         if any(e["image_id"] == image_id for e in entries):
             raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
-        if fields["is_global"] and any(e["is_global"] for e in entries):
+        if fields.get("is_global") and any(e.get("is_global") for e in entries):
             raise MultipleGlobalImagesError(f"{where}: subimage {i} is a second global image")
         entries.append({name: manifest_path.parent / path for name, path in paths.items()} | fields)
     return entries
@@ -129,35 +126,25 @@ def load_bundle(manifest_path):
     return [load_entry(entry) for entry in read_manifest(manifest_path)]
 
 
-def file_stems(bundles):
-    """Per bundle, the stem of its output file names: image_id, or subimage_<i> if empty.
-
-    Raises TokzipError when two bundles would share a stem, since the second
-    would overwrite the first's files.
-    """
-    stems = [b.image_id or f"subimage_{i}" for i, b in enumerate(bundles)]
-    for i, stem in enumerate(stems):
-        if stem in stems[:i]:
-            raise TokzipError(f"two sub-images would both write files named {stem!r}")
-    return stems
+def check_unique_ids(bundles):
+    """Raise TokzipError if two bundles share an image_id: the second's files would overwrite."""
+    ids = [b.image_id for b in bundles]
+    for i, image_id in enumerate(ids):
+        if image_id in ids[:i]:
+            raise TokzipError(f"two sub-images would both write files named {image_id!r}")
 
 
 def write_bundle(out_dir, bundles, notes=None):
     """Write bundles as tensor files plus a manifest; returns the manifest path."""
-    stems = file_stems(bundles)
+    check_unique_ids(bundles)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for stem, b in zip(stems, bundles):
-        entry = {
-            "grid_shape": list(b.grid_shape),
-            "is_global": b.is_global,
-            "dataset": b.dataset,
-            "image_id": stem,
-            "crop_position": list(b.crop_position),
-        }
+    for b in bundles:
+        values = {name: getattr(b, name) for name in FIELD_RULES}
+        entry = {name: list(v) if type(v) is tuple else v for name, v in values.items()}
         for name in TENSOR_FIELDS:
-            fname = f"{stem}_{name}.tkzt"
+            fname = f"{b.image_id}_{name}.tkzt"
             write_tensor(out_dir / fname, getattr(b, name))
             entry[name] = fname
         entries.append(entry)
@@ -189,7 +176,7 @@ def open_results(out_dir):
 # load_results applies it (the pass-through's redundant_mask is optional) and checks that
 # grid_shape tiles N, the length of the mask or of retained_indices. Errors name the file.
 META_RULES = {
-    "image_id": (lambda v: type(v) is str and is_file_name(v), "a file name"),
+    "image_id": FIELD_RULES["image_id"],
     "grid_shape": FIELD_RULES["grid_shape"],
     "is_global_passthrough": FIELD_RULES["is_global"],
     "ratio": (lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
@@ -202,16 +189,16 @@ META_RULES = {
 }
 
 
-def write_result(out_dir, stem, bundle, res, config_meta):
-    """Write one sub-image's tokens and metadata as <stem>_*; returns its index entry.
+def write_result(out_dir, bundle, res, config_meta):
+    """Write one sub-image's tokens and metadata as <image_id>_*; returns its index entry.
 
     Stable key ordering and no timestamps, so identical runs produce
     byte-identical output trees.
     """
-    tokens_file = f"{stem}_compressed.tkzt"
+    tokens_file = f"{bundle.image_id}_compressed.tkzt"
     write_tensor(out_dir / tokens_file, res.compressed_tokens)
     meta = {
-        "image_id": stem,
+        "image_id": bundle.image_id,
         "dataset": bundle.dataset,
         "grid_shape": list(bundle.grid_shape),
         "is_global_passthrough": res.is_global_passthrough,
@@ -229,9 +216,9 @@ def write_result(out_dir, stem, bundle, res, config_meta):
         meta["redundancy"] = res.density_report.redundancy
         meta["n_redundant"] = res.density_report.n_redundant
         meta["redundant_mask"] = [bool(x) for x in res.density_report.redundant_mask]
-    meta_file = f"{stem}_meta.json"
+    meta_file = f"{bundle.image_id}_meta.json"
     _json_dump(out_dir / meta_file, meta)
-    return {"image_id": stem, "meta": meta_file, "tokens": tokens_file}
+    return {"image_id": bundle.image_id, "meta": meta_file, "tokens": tokens_file}
 
 
 def write_index(out_dir, index, config_meta):
@@ -243,10 +230,10 @@ def write_index(out_dir, index, config_meta):
 
 def write_results(out_dir, bundles, results, config_meta):
     """Serialize a document's compression results: write_result per sub-image, then the index."""
-    stems = file_stems(bundles)
+    check_unique_ids(bundles)
     out_dir = open_results(out_dir)
-    index = [write_result(out_dir, stem, bundle, res, config_meta)
-             for stem, bundle, res in zip(stems, bundles, results)]
+    index = [write_result(out_dir, bundle, res, config_meta)
+             for bundle, res in zip(bundles, results)]
     return write_index(out_dir, index, config_meta)
 
 

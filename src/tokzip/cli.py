@@ -77,7 +77,7 @@ def _compress_manifest(args, configs, config_meta, describe, select=None):
     def one(entry):
         bundle = load_entry(entry)
         res = compress_document([bundle], *configs, select)[0]
-        return write_result(out, bundle.image_id, bundle, res, config_meta), describe(bundle, res)
+        return write_result(out, bundle, res, config_meta), describe(bundle, res)
 
     index = []
     for item, line in map_two(one, entries):
@@ -203,8 +203,8 @@ def build_parser():
 
     p = sub.add_parser("density", help="information-density reports only")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--limit-k", type=int, default=50)
+    p.add_argument("--alpha", type=float, default=DensityConfig.alpha)
+    p.add_argument("--limit-k", type=int, default=DensityConfig.limit_k)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("stats", help="corpus compression-ratio statistics")

@@ -6,6 +6,7 @@ sampling on the low-layer attention, index merge, then neighbor aggregation.
 The resized global image is never compressed.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ from .aggregation import AggregationConfig, aggregate
 from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
 from .errors import (DimensionMismatchError, EmptyCorpusError, MultipleGlobalImagesError,
-                     TokzipError, check_field)
+                     TokzipError, check_field, is_number)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -25,9 +26,9 @@ BRANCH_TAGS = ("fallback", "global", "local", "both")
 
 
 def is_int_pair(value, low):
-    """The grid_shape (low 1) and crop_position (low 0) rule: two ints, not bools, each >= low."""
+    """The grid_shape (low 1) and crop_position (low 0) rule: two integers, each >= low."""
     return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(type(v) is int and v >= low for v in value))
+            and all(is_number(v, numbers.Integral) and v >= low for v in value))
 
 
 def is_file_name(name):
@@ -36,9 +37,9 @@ def is_file_name(name):
 
 
 # Per metadata field, a test of its value and what it asks for, which SubImageBundle and
-# bundle_io.read_manifest apply through check_field. Writers stem an empty image_id subimage_<i>.
+# bundle_io.read_manifest apply through check_field and bundle_io.write_bundle writes.
 FIELD_RULES = {
-    "image_id": (lambda v: type(v) is str and (v == "" or is_file_name(v)), "a file name"),
+    "image_id": (lambda v: type(v) is str and is_file_name(v), "a file name"),
     "grid_shape": (lambda v: is_int_pair(v, 1), "two integers >= 1"),
     "crop_position": (lambda v: is_int_pair(v, 0), "two integers >= 0"),
     "is_global": (lambda v: type(v) is bool, "a bool"),
@@ -59,12 +60,12 @@ class SubImageBundle:
     Checked once, when built, whether read from disk or made in memory, and
     kept as checked: the three matrices as core.as_matrix gives them, float32
     or float64 (a float array is kept, not copied), the attention vectors as
-    float64, and grid_shape and crop_position as tuples. The metadata fields
-    follow FIELD_RULES, as a manifest's do. Derive a changed copy with
-    dataclasses.replace. Errors name the image_id and the field. The check
-    prepares each key matrix as a CosineKeys, computing its float64 row norms
-    once, and keeps them as cosine_low and cosine_deep for the density and
-    aggregation stages.
+    float64, and grid_shape and crop_position as tuples of Python ints. The
+    metadata fields follow FIELD_RULES, as a manifest's do. Derive a changed
+    copy with dataclasses.replace. Errors name the image_id and the field. The
+    check prepares each key matrix as a CosineKeys, computing its float64 row
+    norms once, and keeps them as cosine_low and cosine_deep for the density
+    and aggregation stages.
     """
 
     y_last: np.ndarray
@@ -75,7 +76,7 @@ class SubImageBundle:
     grid_shape: tuple
     is_global: bool = False
     dataset: str = "default"
-    image_id: str = ""
+    image_id: str = "subimage"
     crop_position: tuple = (0, 0)
     cosine_low: CosineKeys = field(init=False, repr=False)
     cosine_deep: CosineKeys = field(init=False, repr=False)
@@ -99,16 +100,17 @@ class SubImageBundle:
                 raise DimensionMismatchError(f"{where}{name} has length {a.size} for {n} tokens")
             object.__setattr__(self, name, a)
         for name in FIELD_RULES:
-            object.__setattr__(self, name, check_field(FIELD_RULES, name, getattr(self, name),
-                                                       where))
+            value = check_field(FIELD_RULES, name, getattr(self, name), where)
+            value = tuple(map(int, value)) if type(value) is tuple else value  # numpy ints too
+            object.__setattr__(self, name, value)
         rows, cols = self.grid_shape
         if rows * cols != n:
             raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")
 
     @property
     def where(self):
-        """The prefix of this sub-image's error messages: its image_id, or 'sub-image'."""
-        return f"{self.image_id or 'sub-image'}: "
+        """The prefix of this sub-image's error messages: its image_id."""
+        return f"{self.image_id}: "
 
     @property
     def n_tokens(self):

@@ -7,6 +7,7 @@ with the sample count set by the sub-image's information density.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ from .core import check_attention_vector, quantile
 from .errors import InsufficientSupportError, check_field, is_number
 
 CONFIG_RULES = {
-    "iqr_factor": (lambda v: is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0"),
+    "iqr_factor": (lambda v: is_number(v) and 0 < v <= sys.float_info.max, "a finite number > 0"),
     "min_retained": (lambda v: is_number(v, numbers.Integral) and v >= 1, "an integer >= 1"),
     "seed": (lambda v: is_number(v, numbers.Integral) and v >= 0, "an integer >= 0"),
 }

@@ -8,8 +8,9 @@ import pytest
 import yaml
 
 import tokzip.bundle_io
-from tokzip.bundle_io import read_manifest, read_yaml
+from tokzip.bundle_io import TENSOR_FIELDS, read_manifest, read_yaml, write_result
 from tokzip import (
+    SubImageBundle,
     SyntheticSpec,
     baseline_select,
     compress_document,
@@ -34,6 +35,12 @@ def _small_bundle(seed=0, n=4, profile="uniform"):
     b = generate(SyntheticSpec(n_tokens=n, dim=n + 2, redundancy_fraction=0.0,
                                attention_profile=profile, seed=seed))
     return dataclasses.replace(b, grid_shape=(2, n // 2))
+
+
+def _unnamed(b):
+    """b's tensors and grid in a bundle built without an image_id."""
+    return SubImageBundle(**{name: getattr(b, name) for name in TENSOR_FIELDS},
+                          grid_shape=b.grid_shape)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -133,9 +140,10 @@ GOOD_FIELDS = {"grid_shape": [2, 3], "crop_position": [2, 3], "is_global": True,
 
 @pytest.mark.parametrize("field,value", [
     ("grid_shape", (-2, -3)), ("grid_shape", (2.0, 3.0)), ("grid_shape", (True, 6)),
-    ("grid_shape", (np.int64(2), 3)), ("grid_shape", (1, 2, 3)),
+    ("grid_shape", (1, 2, 3)),
     ("crop_position", (-1, 0)), ("crop_position", ("a", 0)), ("crop_position", (0,)),
     ("is_global", "no"), ("dataset", ["x"]), ("image_id", "../x"), ("image_id", 7),
+    ("image_id", ""),
 ])
 def test_bundle_and_manifest_share_the_grid_and_position_rule(field, value, tmp_path):
     b = _small_bundle(n=6)  # grid (2, 3): the bad grids multiply to 6 as well
@@ -143,14 +151,42 @@ def test_bundle_and_manifest_share_the_grid_and_position_rule(field, value, tmp_
     with pytest.raises(TokzipError, match=f"^{prefix}: {field} must be"):
         dataclasses.replace(b, **{field: value})
     dataclasses.replace(b, **{field: GOOD_FIELDS[field]})
-    # a numpy scalar has no YAML form
-    if not (isinstance(value, tuple) and any(isinstance(v, np.generic) for v in value)):
-        manifest = write_bundle(tmp_path, [b])
-        doc = yaml.safe_load(manifest.read_text())
-        doc["subimages"][0][field] = list(value) if isinstance(value, tuple) else value
-        manifest.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ParseError, match=f"subimage 0: {field}"):
-            read_manifest(manifest)
+    manifest = write_bundle(tmp_path, [b])
+    doc = yaml.safe_load(manifest.read_text())
+    doc["subimages"][0][field] = list(value) if isinstance(value, tuple) else value
+    manifest.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ParseError, match=f"subimage 0: {field}"):
+        read_manifest(manifest)
+
+
+def test_bundle_takes_numpy_integers_and_writes_plain_yaml(tmp_path):
+    b = dataclasses.replace(_small_bundle(n=6), grid_shape=(np.int64(2), 3),
+                            crop_position=[np.uint8(1), np.int32(0)])
+    assert b.grid_shape == (2, 3) and b.crop_position == (1, 0)
+    assert all(type(v) is int for v in b.grid_shape + b.crop_position)
+    manifest = write_bundle(tmp_path, [b])
+    assert "!!" not in manifest.read_text()
+    back = load_bundle(manifest)[0]
+    assert (back.grid_shape, back.crop_position) == ((2, 3), (1, 0))
+
+
+def test_unnamed_bundles_share_the_default_id(tmp_path):
+    bundles = [_unnamed(_small_bundle(seed=s, n=8)) for s in (1, 2)]
+    assert [b.image_id for b in bundles] == ["subimage", "subimage"]
+    with pytest.raises(TokzipError, match="both write files named 'subimage'"):
+        write_bundle(tmp_path / "in", bundles)
+    with pytest.raises(TokzipError, match="both write files named 'subimage'"):
+        write_results(tmp_path / "out", bundles, compress_document(bundles), {"seed": 0})
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_result_names_files_by_image_id(tmp_path):
+    b = dataclasses.replace(_small_bundle(n=8), image_id="crop_7")
+    entry = write_result(tmp_path, b, compress_subimage(b), {"seed": 0})
+    assert entry == {"image_id": "crop_7", "meta": "crop_7_meta.json",
+                     "tokens": "crop_7_compressed.tkzt"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["crop_7_compressed.tkzt",
+                                                          "crop_7_meta.json"]
 
 
 def test_write_bundle_cannot_write_outside_its_directory(tmp_path):
@@ -213,10 +249,9 @@ def test_repeated_file_stem_refused(tmp_path):
         write_results(tmp_path / "out", bundles, results, {"seed": 0})
     with pytest.raises(TokzipError, match="'same'"):
         write_bundle(tmp_path / "in", bundles)
-    # an empty image_id takes the stem subimage_<i>, which an explicit id can collide with
-    unnamed = [dataclasses.replace(bundles[0], image_id="subimage_1"),
-               dataclasses.replace(bundles[1], image_id="")]
-    with pytest.raises(TokzipError, match="'subimage_1'"):
+    # a bundle built without an image_id takes the default, which an explicit id can collide with
+    unnamed = [dataclasses.replace(bundles[0], image_id="subimage"), _unnamed(bundles[1])]
+    with pytest.raises(TokzipError, match="'subimage'"):
         write_results(tmp_path / "out", unnamed, results, {"seed": 0})
     assert not (tmp_path / "out").exists() and not (tmp_path / "in").exists()
 

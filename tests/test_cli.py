@@ -299,6 +299,8 @@ BAD_INPUTS = {
                        "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "iqr_factor_inf": ({"c.yaml": "selection:\n  iqr_factor: .inf\n"},
                        "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
+    "iqr_factor_beyond_float64": ({"c.yaml": "selection:\n  iqr_factor: 1" + "0" * 310 + "\n"},
+                                  "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "labels_not_file_name": ({}, "stats --results {t}/run/results.json --labels ../escaped "
                                  "--out {t}/o"),
     "label_of_the_root_folder": ({}, "stats --results /results.json --out {t}/o"),
@@ -334,6 +336,8 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert "unknown section 'densty'" in err
     if case.endswith("negative_seed"):
         assert "--seed" in err
+    if case.startswith("iqr_factor_"):
+        assert "iqr_factor must be a finite number > 0" in err
     if case == "config_value_aliased":
         assert len(err) < 300 and "min_retained" in err
     if case == "labels_not_file_name":
