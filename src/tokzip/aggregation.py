@@ -51,7 +51,7 @@ class AggregationConfig:
 def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     """Weighted-sum merge of each retained token's neighbor group.
 
-    Returns a |retained| x D matrix, rows ordered by ascending retained index.
+    Returns a |retained| x D matrix, row i for retained[i], in the caller's order.
     Neighbors are drawn from all N tokens; groups may overlap. Ties in
     similarity break toward the lowest index. `keys_deep` is a key matrix,
     or the CosineKeys prepared from one. `retained` holds integers: nearest
@@ -70,7 +70,7 @@ def aggregate(tokens, keys_deep, attn_deep, retained, cfg=AggregationConfig()):
     y = as_matrix(tokens)
     weights_full = check_attention_vector(attn_deep, "attn_deep")
     n = y.shape[0]
-    retained = np.sort(np.asarray(retained))
+    retained = np.asarray(retained)
     if retained.size == 0:
         raise EmptyRetentionError("retained index set is empty")
     keys = keys_deep if isinstance(keys_deep, CosineKeys) else CosineKeys(keys_deep)

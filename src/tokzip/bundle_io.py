@@ -21,8 +21,8 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from .errors import MultipleGlobalImagesError, ParseError, TokzipError, check_field, is_number
-from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle
+from .errors import ParseError, check_field, is_number
+from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle, check_document, check_grid
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -73,7 +73,7 @@ def read_manifest(manifest_path):
     Returns per sub-image the SubImageBundle fields its entry gives, tensors
     as resolved paths, plus image_id (default subimage_<i>) and grid_shape
     (default None). Each metadata field must pass its pipeline.FIELD_RULES
-    rule, image_ids must be distinct, and at most one is the global image.
+    rule, and the entries must pass pipeline.check_document.
     """
     manifest_path = Path(manifest_path)
     where = str(manifest_path)
@@ -89,17 +89,12 @@ def read_manifest(manifest_path):
             if not isinstance(path, str) or "\0" in path:
                 raise ParseError(f"subimage {i} needs a file path '{name}'", where)
         fields = {"image_id": f"subimage_{i}", "grid_shape": None}
-        try:
-            fields.update({name: check_field(FIELD_RULES, name, entry[name], f"subimage {i}: ")
-                           for name in FIELD_RULES if name in entry})
-        except TokzipError as e:
-            raise ParseError(str(e), where) from None
-        image_id = fields["image_id"]
-        if any(e["image_id"] == image_id for e in entries):
-            raise ParseError(f"subimage {i}: image_id {image_id!r} repeats an earlier entry", where)
-        if fields.get("is_global") and any(e.get("is_global") for e in entries):
-            raise MultipleGlobalImagesError(f"{where}: subimage {i} is a second global image")
+        fields.update({name: check_field(FIELD_RULES, name, entry[name],
+                                         f"{where}: subimage {i}: ", ParseError)
+                       for name in FIELD_RULES if name in entry})
         entries.append({name: manifest_path.parent / path for name, path in paths.items()} | fields)
+    check_document([e["image_id"] for e in entries], [e.get("is_global") for e in entries],
+                   f"{where}: ", ParseError)
     return entries
 
 
@@ -126,17 +121,9 @@ def load_bundle(manifest_path):
     return [load_entry(entry) for entry in read_manifest(manifest_path)]
 
 
-def check_unique_ids(bundles):
-    """Raise TokzipError if two bundles share an image_id: the second's files would overwrite."""
-    ids = [b.image_id for b in bundles]
-    for i, image_id in enumerate(ids):
-        if image_id in ids[:i]:
-            raise TokzipError(f"two sub-images would both write files named {image_id!r}")
-
-
 def write_bundle(out_dir, bundles, notes=None):
-    """Write bundles as tensor files plus a manifest; returns the manifest path."""
-    check_unique_ids(bundles)
+    """Write bundles that pass check_document as tensor files plus a manifest; returns its path."""
+    check_document([b.image_id for b in bundles], [b.is_global for b in bundles])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -173,8 +160,7 @@ def open_results(out_dir):
 
 
 # Per field of a meta JSON that write_result writes, a test of its value and what it asks for.
-# load_results applies it (the pass-through's redundant_mask is optional) and checks that
-# grid_shape tiles N, the length of the mask or of retained_indices. Errors name the file.
+# load_results applies it (the pass-through's redundant_mask is optional), then check_grid.
 META_RULES = {
     "image_id": FIELD_RULES["image_id"],
     "grid_shape": FIELD_RULES["grid_shape"],
@@ -229,8 +215,8 @@ def write_index(out_dir, index, config_meta):
 
 
 def write_results(out_dir, bundles, results, config_meta):
-    """Serialize a document's compression results: write_result per sub-image, then the index."""
-    check_unique_ids(bundles)
+    """Serialize a document's results: check_document, write_result per sub-image, the index."""
+    check_document([b.image_id for b in bundles], [b.is_global for b in bundles])
     out_dir = open_results(out_dir)
     index = [write_result(out_dir, bundle, res, config_meta)
              for bundle, res in zip(bundles, results)]
@@ -250,7 +236,7 @@ def _read_json_mapping(path, what):
 
 
 def load_results(results_path):
-    """Read back a results.json index and its per-sub-image metadata, each meta checked once."""
+    """Read back a results.json index and its metas, each checked once, then check_document."""
     results_path = Path(results_path)
     index = _read_json_mapping(results_path, "results index")
     if not isinstance(index.get("subimages"), list):
@@ -265,11 +251,11 @@ def load_results(results_path):
         meta = _read_json_mapping(where, "sub-image metadata")
         for name in META_RULES:  # is_global_passthrough comes before redundant_mask
             if name != "redundant_mask" or name in meta or not meta["is_global_passthrough"]:
-                check_field(META_RULES, name, meta.get(name), error=lambda m: ParseError(m, where))
-        rows, cols = meta["grid_shape"]
-        n = len(meta.get("redundant_mask", meta["retained_indices"]))
-        if rows * cols != n:
-            raise ParseError(f"grid_shape {[rows, cols]} does not tile {n} tokens", where)
+                check_field(META_RULES, name, meta.get(name), f"{where}: ", ParseError)
+        check_grid(meta["grid_shape"], len(meta.get("redundant_mask", meta["retained_indices"])),
+                   f"{where}: ", ParseError)
         meta["tokens_path"] = str(base / entry["tokens"])
         out.append(meta)
+    check_document([m["image_id"] for m in out], [m["is_global_passthrough"] for m in out],
+                   f"{results_path}: ", ParseError)
     return out

@@ -97,7 +97,7 @@ class NonFiniteValueError(DimensionMismatchError):
 
 
 class GridMismatchError(TokzipError):
-    """grid_shape does not tile the token count."""
+    """A grid_shape's rows x cols is not the token count."""
 
 
 class InfeasibleSpecError(TokzipError):

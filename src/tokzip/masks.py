@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridMismatchError
-from .pipeline import BRANCH_TAGS
+from .pipeline import BRANCH_TAGS, check_grid
 
 LEVEL_DROPPED = 0
 LEVEL_LOCAL = 128
@@ -52,22 +52,22 @@ def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
     has none; passthrough marks the uncompressed global image, drawn as all
     retained. Returns the two written paths. Patch index i maps to grid cell
     (i // cols, i % cols), matching raster token order. Before any raster is
-    made, it checks the grid tiles the mask or the passthrough's indices, and
-    each index is in [0, N) and has a tag (the passthrough has none).
+    made, it applies check_grid to the mask and to the passthrough's indices,
+    and checks each index is in [0, N) and has a tag (the passthrough has none).
     """
     out_prefix = Path(out_prefix)
+    where = f"{out_prefix.name}: "
+    if redundant_mask is not None:
+        check_grid(grid_shape, np.size(redundant_mask), where)
+    if passthrough:
+        check_grid(grid_shape, len(retained), where)
     rows, cols = grid_shape
     n = rows * cols
-    if redundant_mask is not None and np.size(redundant_mask) != n:
-        raise GridMismatchError(f"grid {grid_shape} does not tile {np.size(redundant_mask)} tokens")
-    if passthrough and len(retained) != n:
-        raise GridMismatchError(f"grid {grid_shape} does not tile {len(retained)} tokens")
     indices = np.asarray(retained)
     if (outside := indices[(indices < 0) | (indices >= n)]).size:
-        raise GridMismatchError(f"{out_prefix.name}: retained index {outside[0]} not in [0, {n})")
+        raise GridMismatchError(f"{where}retained index {outside[0]} not in [0, {n})")
     if not passthrough and len(provenance) != len(retained):
-        raise GridMismatchError(f"{out_prefix.name}: {len(provenance)} tags for "
-                                f"{len(retained)} indices")
+        raise GridMismatchError(f"{where}{len(provenance)} tags for {len(retained)} indices")
 
     redundancy = np.zeros(n, dtype=np.uint8)
     if redundant_mask is not None:

@@ -14,8 +14,8 @@ import numpy as np
 from .aggregation import AggregationConfig, aggregate
 from .core import CosineKeys, as_matrix, check_attention_vector, check_finite, quantile
 from .density import DensityConfig, DensityReport, compute_density
-from .errors import (DimensionMismatchError, EmptyCorpusError, MultipleGlobalImagesError,
-                     TokzipError, check_field, is_number)
+from .errors import (DimensionMismatchError, EmptyCorpusError, GridMismatchError,
+                     MultipleGlobalImagesError, TokzipError, check_field, is_number)
 from .selection import SelectionConfig, select_tokens
 
 HIST_BIN_WIDTH = 0.05
@@ -45,6 +45,25 @@ FIELD_RULES = {
     "is_global": (lambda v: type(v) is bool, "a bool"),
     "dataset": (lambda v: type(v) is str, "a str"),
 }
+
+
+def check_document(image_ids, is_global, where="", error=TokzipError):
+    """The document rules: distinct image_ids (else error), at most one is_global true."""
+    seen, seen_global = set(), False
+    for i, (image_id, glob) in enumerate(zip(image_ids, is_global)):
+        if image_id in seen:
+            raise error(f"{where}subimage {i}: image_id {image_id!r} repeats an earlier entry")
+        if glob and seen_global:
+            raise MultipleGlobalImagesError(f"{where}subimage {i} is a second global image")
+        seen.add(image_id)
+        seen_global |= bool(glob)
+
+
+def check_grid(grid_shape, n, where="", error=GridMismatchError):
+    """The grid rule: grid_shape (rows, cols) tiles n tokens, so rows x cols = n."""
+    rows, cols = grid_shape
+    if rows * cols != n:
+        raise error(f"{where}grid_shape ({rows}, {cols}) does not tile {n} tokens")
 
 
 @dataclass(frozen=True)
@@ -103,9 +122,7 @@ class SubImageBundle:
             value = check_field(FIELD_RULES, name, getattr(self, name), where)
             value = tuple(map(int, value)) if type(value) is tuple else value  # numpy ints too
             object.__setattr__(self, name, value)
-        rows, cols = self.grid_shape
-        if rows * cols != n:
-            raise DimensionMismatchError(f"{where}grid_shape {rows, cols} does not tile {n} tokens")
+        check_grid(self.grid_shape, n, where, DimensionMismatchError)
 
     @property
     def where(self):
@@ -184,11 +201,10 @@ def compress_document(
     agg_cfg=AggregationConfig(),
     select=None,
 ):
-    """compress_subimage on every bundle, of which at most one is the global image.
+    """compress_subimage on every bundle, once they pass check_document.
 
-    Each bundle gets its own generator seeded from selection_cfg.seed, so
-    results do not depend on processing order and identical bundles under the
-    same seed produce identical results.
+    Each bundle gets its own generator seeded from selection_cfg.seed, so results
+    do not depend on processing order, and bundles that differ only in image_id agree.
 
     The bundles run one after another, unlike the CLI's two at a time
     (workers.map_two): a caller holding a whole document would hold a second
@@ -197,9 +213,7 @@ def compress_document(
     peak memory of sparse ones from 368 to 384-414 MiB, since the second
     thread's allocator arena keeps about 19 MiB of one crop's working set.
     """
-    n_global = sum(1 for b in bundles if b.is_global)
-    if n_global > 1:
-        raise MultipleGlobalImagesError(f"{n_global} bundles are marked is_global")
+    check_document([b.image_id for b in bundles], [b.is_global for b in bundles])
     return [compress_subimage(b, density_cfg, selection_cfg, agg_cfg, select) for b in bundles]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from tokzip import (
 )
 from tokzip.errors import (
     DimensionMismatchError,
+    MultipleGlobalImagesError,
     NonFiniteValueError,
     ParseError,
     TokzipError,
@@ -173,10 +175,11 @@ def test_bundle_takes_numpy_integers_and_writes_plain_yaml(tmp_path):
 def test_unnamed_bundles_share_the_default_id(tmp_path):
     bundles = [_unnamed(_small_bundle(seed=s, n=8)) for s in (1, 2)]
     assert [b.image_id for b in bundles] == ["subimage", "subimage"]
-    with pytest.raises(TokzipError, match="both write files named 'subimage'"):
+    results = [compress_subimage(b) for b in bundles]
+    with pytest.raises(TokzipError, match="image_id 'subimage' repeats an earlier entry"):
         write_bundle(tmp_path / "in", bundles)
-    with pytest.raises(TokzipError, match="both write files named 'subimage'"):
-        write_results(tmp_path / "out", bundles, compress_document(bundles), {"seed": 0})
+    with pytest.raises(TokzipError, match="image_id 'subimage' repeats an earlier entry"):
+        write_results(tmp_path / "out", bundles, results, {"seed": 0})
     assert not list(tmp_path.iterdir())
 
 
@@ -244,7 +247,9 @@ def test_load_results_accepts_what_write_result_writes(tmp_path):
 
 def test_repeated_file_stem_refused(tmp_path):
     bundles = [dataclasses.replace(_small_bundle(seed=s, n=8), image_id="same") for s in (1, 2)]
-    results = compress_document(bundles)
+    with pytest.raises(TokzipError, match="'same'"):
+        compress_document(bundles)
+    results = [compress_subimage(b) for b in bundles]
     with pytest.raises(TokzipError, match="'same'"):
         write_results(tmp_path / "out", bundles, results, {"seed": 0})
     with pytest.raises(TokzipError, match="'same'"):
@@ -254,6 +259,40 @@ def test_repeated_file_stem_refused(tmp_path):
     with pytest.raises(TokzipError, match="'subimage'"):
         write_results(tmp_path / "out", unnamed, results, {"seed": 0})
     assert not (tmp_path / "out").exists() and not (tmp_path / "in").exists()
+
+
+def test_writers_refuse_two_global_images(tmp_path):
+    bundles = [dataclasses.replace(_small_bundle(seed=s, n=8), image_id=f"g{s}", is_global=True)
+               for s in (1, 2)]
+    results = [compress_subimage(b) for b in bundles]
+    with pytest.raises(MultipleGlobalImagesError, match="^subimage 1 is a second global image$"):
+        write_bundle(tmp_path / "in", bundles)
+    with pytest.raises(MultipleGlobalImagesError, match="^subimage 1 is a second global image$"):
+        write_results(tmp_path / "out", bundles, results, {"seed": 0})
+    assert not list(tmp_path.iterdir())
+
+
+# Documents as (image_id, is_global) per sub-image: distinct or repeated ids, 0, 1 or 2 globals.
+DOCUMENTS = [list(zip(ids, flags)) for ids in ("abc", "aba", "abb")
+             for flags in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1))]
+
+
+@pytest.mark.parametrize("document", DOCUMENTS,
+                         ids=["".join(i.upper() if g else i for i, g in d) for d in DOCUMENTS])
+def test_written_documents_read_back_and_compress(document, tmp_path):
+    bundles = [dataclasses.replace(_small_bundle(seed=s), image_id=i, is_global=bool(g))
+               for s, (i, g) in enumerate(document)]
+    try:
+        manifest = write_bundle(tmp_path / "in", bundles)
+    except TokzipError as refused:
+        assert not (tmp_path / "in").exists()
+        with pytest.raises(type(refused), match=f"^{re.escape(str(refused))}$"):
+            compress_document(bundles)
+    else:
+        entries = read_manifest(manifest)
+        assert [(e["image_id"], e["is_global"]) for e in entries] == \
+            [(i, bool(g)) for i, g in document]
+        assert len(compress_document(bundles)) == len(bundles)
 
 
 # read_yaml's two loaders; the libyaml one exists where PyYAML was built with libyaml.

@@ -190,6 +190,21 @@ SUB_A_META = {"image_id": "sub_a", "grid_shape": [4, 4], "is_global_passthrough"
               "ratio": 0.25, "retained_indices": [0, 5, 10, 15],
               "branch_provenance": ["local"] * 4, "redundant_mask": [False] * 16}
 
+# A passed-through global image's meta, for a 16-token grid.
+GLOBAL_META = {"image_id": "global", "grid_shape": [4, 4], "is_global_passthrough": True,
+               "ratio": 1.0, "retained_indices": list(range(16)), "branch_provenance": []}
+
+
+def _index(*metas):
+    """A results index listing the meta files `metas` in order."""
+    return json.dumps({"subimages": [{"meta": m, "tokens": "t.tkzt"} for m in metas]})
+
+
+# A results index whose crop sub_a is followed by two global images.
+TWO_GLOBALS = {"results.json": _index("m.json", "g.json", "g2.json"),
+               "m.json": json.dumps(SUB_A_META), "g.json": json.dumps(GLOBAL_META),
+               "g2.json": json.dumps(GLOBAL_META | {"image_id": "sub_b"})}
+
 # sub_a's meta, but its retained index is negative: render_masks, not only masks, refuses it.
 NEGATIVE_INDEX_META = json.dumps(SUB_A_META | {"retained_indices": [-1],
                                                "branch_provenance": ["local"]})
@@ -219,6 +234,8 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # meta errors named results.json, not the meta file, and a results.json in the root folder
 # failed on the missing file, where one that existed would have been labelled ''.
 # middle_tensor_in_middle_entry was one error line too; its entry runs beside the ones around it.
+# masks_repeated_image_id and results_two_global_images_* exited 0: masks wrote sub_a's
+# masks twice, the second over the first, and stats and masks read two global images.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -315,6 +332,13 @@ BAD_INPUTS = {
     "config_nested_too_deeply": ({"c.yaml": "- " * 3000 + "1"},
                                  "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
     "results_nested_too_deeply": ({"r.json": "[" * 100000}, "stats --results {t}/r.json --out {t}/o"),
+    "masks_repeated_image_id": ({"results.json": _index("m.json", "m.json"),
+                                 "m.json": json.dumps(SUB_A_META)},
+                                "masks --manifest {manifest} --results {t}/results.json "
+                                "--out {t}/o"),
+    "results_two_global_images_stats": (TWO_GLOBALS, "stats --results {t}/results.json --out {t}/o"),
+    "results_two_global_images_masks": (TWO_GLOBALS, "masks --manifest {manifest} "
+                                                     "--results {t}/results.json --out {t}/o"),
     "stage_error_names_the_crop": ({"c.yaml": "aggregation:\n  knn_k: 100\n"},
                                    "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
 }
@@ -363,6 +387,12 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert err.startswith("error: GridMismatchError: sub_a: retained index -1")
     if case == "label_of_the_root_folder":
         assert "labels must be file names, got ['']" in err
+    if case == "masks_repeated_image_id":
+        assert f"{tmp_path / 'results.json'}: subimage 1: image_id 'sub_a' repeats" in err
+    if case.startswith("results_two_global_images"):
+        assert f"{tmp_path / 'results.json'}: subimage 2 is a second global image" in err
+    if command.startswith("masks"):
+        assert not list(tmp_path.rglob("*.pgm"))
 
 
 def test_nesting_deeper_than_the_c_stack_is_one_error_line(tmp_path):

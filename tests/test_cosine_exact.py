@@ -271,7 +271,7 @@ def test_float32_bundle_compresses_as_its_float64_upcast(kind, lattice_keys, mon
         attn_deep=rng.uniform(0.1, 1.0, n),
         grid_shape=(1, n),
     )
-    document = [crop, dataclasses.replace(crop, is_global=True)]
+    document = [crop, dataclasses.replace(crop, is_global=True, image_id="global")]
     upcast = [dataclasses.replace(b, **{name: getattr(b, name).astype(np.float64)
                                         for name in ("y_last", "keys_low", "keys_deep")})
               for b in document]

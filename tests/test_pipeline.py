@@ -10,6 +10,7 @@ from tokzip import (
     SelectionConfig,
     SelectionResult,
     SyntheticSpec,
+    aggregate,
     compress_document,
     compress_subimage,
     corpus_stats,
@@ -22,6 +23,7 @@ from tokzip.errors import (
     InsufficientSupportError,
     MultipleGlobalImagesError,
     NeighborCountExceedsTokensError,
+    TokzipError,
 )
 from tokzip.harness import oracle_aggregate, oracle_density, oracle_global_select
 
@@ -153,6 +155,18 @@ def test_branch_tags_and_counts():
     assert res.ratio == 4 / 9
 
 
+def test_result_rows_follow_the_select_steps_order():
+    bundle = generate(SyntheticSpec(n_tokens=12, dim=16, redundancy_fraction=0.5, seed=3))
+    sel = SelectionResult(global_indices=np.array([9]), local_indices=np.array([2]),
+                          merged_indices=np.array([9, 2]))
+    res = compress_subimage(bundle, select=lambda *_: sel)
+    assert res.retained_indices.tolist() == [9, 2]
+    assert res.branch_provenance == ["global", "local"]
+    for row, index in zip(res.compressed_tokens, (9, 2)):
+        alone = aggregate(bundle.y_last, bundle.cosine_deep, bundle.attn_deep, [index])
+        assert row.tobytes() == alone[0].tobytes()
+
+
 class TestHandTrace:
     """Step-by-step trace of the full pipeline on the 75%-clone bundle.
 
@@ -223,10 +237,8 @@ class TestCompressDocument:
         assert results[0].ratio == 1.0
 
     def test_identical_bundles_identical_results(self):
-        bundles = [
-            generate(SyntheticSpec(n_tokens=12, dim=16, redundancy_fraction=0.5, seed=3))
-            for _ in range(4)
-        ]
+        bundle = generate(SyntheticSpec(n_tokens=12, dim=16, redundancy_fraction=0.5, seed=3))
+        bundles = [dataclasses.replace(bundle, image_id=f"crop_{i}") for i in range(4)]
         cfg = SelectionConfig(seed=5)
         results = compress_document(bundles, DensityConfig(alpha=0.7, limit_k=2), cfg)
         first = results[0]
@@ -237,8 +249,13 @@ class TestCompressDocument:
     def test_multiple_globals_rejected(self):
         a = dataclasses.replace(_uniform_bundle(seed=1), is_global=True)
         b = dataclasses.replace(_uniform_bundle(seed=2), is_global=True)
-        with pytest.raises(MultipleGlobalImagesError):
+        with pytest.raises(MultipleGlobalImagesError, match="^subimage 1 is a second global image$"):
             compress_document([a, b])
+
+    def test_repeated_image_id_rejected(self):
+        a = _uniform_bundle(seed=1)
+        with pytest.raises(TokzipError, match="^subimage 1: image_id 'synthetic_1' repeats"):
+            compress_document([a, dataclasses.replace(a, attn_low=a.attn_low[::-1])])
 
     def test_ratios_decrease_with_redundancy(self):
         dcfg = DensityConfig(alpha=0.7, limit_k=3)
@@ -246,6 +263,7 @@ class TestCompressDocument:
             generate(SyntheticSpec(n_tokens=40, dim=48, redundancy_fraction=rho, seed=9))
             for rho in (0.2, 0.5, 0.8)
         ]
+        bundles = [dataclasses.replace(b, image_id=f"crop_{i}") for i, b in enumerate(bundles)]
         results = compress_document(bundles, dcfg, SelectionConfig(seed=0))
         ratios = [r.ratio for r in results]
         assert ratios[0] > ratios[1] > ratios[2]
