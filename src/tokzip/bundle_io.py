@@ -21,8 +21,9 @@ import numpy as np
 import yaml
 from yaml.composer import Composer
 
-from .errors import ParseError, check_field, is_number
-from .pipeline import BRANCH_TAGS, FIELD_RULES, SubImageBundle, check_document, check_grid
+from .errors import DimensionMismatchError, ParseError, check_field, is_number
+from .pipeline import (BRANCH_TAGS, FIELD_RULES, SubImageBundle, check_document, check_grid,
+                       check_retained)
 from .tensorfile import read_tensor, write_tensor
 
 ATTENTION_SUM_WARN_TOL = 1e-3
@@ -160,7 +161,8 @@ def open_results(out_dir):
 
 
 # Per field of a meta JSON that write_result writes, a test of its value and what it asks for.
-# load_results applies it (the pass-through's redundant_mask is optional), then check_grid.
+# load_results applies it (the pass-through's redundant_mask is optional), then check_grid
+# and check_retained.
 META_RULES = {
     "image_id": FIELD_RULES["image_id"],
     "grid_shape": FIELD_RULES["grid_shape"],
@@ -216,6 +218,8 @@ def write_index(out_dir, index, config_meta):
 
 def write_results(out_dir, bundles, results, config_meta):
     """Serialize a document's results: check_document, write_result per sub-image, the index."""
+    if len(results) != len(bundles):
+        raise DimensionMismatchError(f"{len(results)} results for {len(bundles)} sub-images")
     check_document([b.image_id for b in bundles], [b.is_global for b in bundles])
     out_dir = open_results(out_dir)
     index = [write_result(out_dir, bundle, res, config_meta)
@@ -252,8 +256,10 @@ def load_results(results_path):
         for name in META_RULES:  # is_global_passthrough comes before redundant_mask
             if name != "redundant_mask" or name in meta or not meta["is_global_passthrough"]:
                 check_field(META_RULES, name, meta.get(name), f"{where}: ", ParseError)
-        check_grid(meta["grid_shape"], len(meta.get("redundant_mask", meta["retained_indices"])),
-                   f"{where}: ", ParseError)
+        n = len(meta.get("redundant_mask", meta["retained_indices"]))
+        check_grid(meta["grid_shape"], n, f"{where}: ", ParseError)
+        check_retained(meta["retained_indices"], meta["branch_provenance"], n,
+                       meta["is_global_passthrough"], f"{where}: ", ParseError)
         meta["tokens_path"] = str(base / entry["tokens"])
         out.append(meta)
     check_document([m["image_id"] for m in out], [m["is_global_passthrough"] for m in out],

@@ -153,16 +153,18 @@ def _cmd_masks(args):
     if not 1 <= args.scale <= MAX_SCALE:
         raise UsageError(f"--scale must be in [1, {MAX_SCALE}], got {args.scale}")
     known = {entry["image_id"] for entry in read_manifest(args.manifest)}
+    metas = load_results(args.results)
+    unknown = [meta["image_id"] for meta in metas if meta["image_id"] not in known]
+    if unknown:
+        raise ParseError(f"image_id {unknown[0]!r} is not in {args.manifest}", args.results)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for meta in load_results(args.results):
-        image_id = meta["image_id"]
-        if image_id not in known:
-            raise ParseError(f"image_id {image_id!r} is not in {args.manifest}", args.results)
+    for meta in metas:
         red, sel = render_masks(meta["grid_shape"], meta["retained_indices"],
                                 meta["branch_provenance"], meta.get("redundant_mask"),
-                                meta["is_global_passthrough"], out / image_id, scale=args.scale)
-        print(f"{image_id}: wrote {red.name}, {sel.name}")
+                                meta["is_global_passthrough"], out / meta["image_id"],
+                                scale=args.scale)
+        print(f"{meta['image_id']}: wrote {red.name}, {sel.name}")
     return 0
 
 

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GridMismatchError
-from .pipeline import BRANCH_TAGS, check_grid
+from .pipeline import BRANCH_TAGS, check_grid, check_retained
 
 LEVEL_DROPPED = 0
 LEVEL_LOCAL = 128
@@ -53,7 +52,7 @@ def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
     retained. Returns the two written paths. Patch index i maps to grid cell
     (i // cols, i % cols), matching raster token order. Before any raster is
     made, it applies check_grid to the mask and to the passthrough's indices,
-    and checks each index is in [0, N) and has a tag (the passthrough has none).
+    then check_retained, each as a GridMismatchError.
     """
     out_prefix = Path(out_prefix)
     where = f"{out_prefix.name}: "
@@ -63,11 +62,7 @@ def render_masks(grid_shape, retained, provenance, redundant_mask, passthrough,
         check_grid(grid_shape, len(retained), where)
     rows, cols = grid_shape
     n = rows * cols
-    indices = np.asarray(retained)
-    if (outside := indices[(indices < 0) | (indices >= n)]).size:
-        raise GridMismatchError(f"{where}retained index {outside[0]} not in [0, {n})")
-    if not passthrough and len(provenance) != len(retained):
-        raise GridMismatchError(f"{where}{len(provenance)} tags for {len(retained)} indices")
+    check_retained(retained, provenance, n, passthrough, where)
 
     redundancy = np.zeros(n, dtype=np.uint8)
     if redundant_mask is not None:

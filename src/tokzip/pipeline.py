@@ -32,8 +32,8 @@ def is_int_pair(value, low):
 
 
 def is_file_name(name):
-    """Whether name can stand in an output file name: non-empty, no '/' and no NUL."""
-    return bool(name) and "/" not in name and "\0" not in name
+    """Whether name stands as itself in an output path: not '' or '.', no '/' and no NUL."""
+    return name not in ("", ".") and "/" not in name and "\0" not in name
 
 
 # Per metadata field, a test of its value and what it asks for, which SubImageBundle and
@@ -64,6 +64,15 @@ def check_grid(grid_shape, n, where="", error=GridMismatchError):
     rows, cols = grid_shape
     if rows * cols != n:
         raise error(f"{where}grid_shape ({rows}, {cols}) does not tile {n} tokens")
+
+
+def check_retained(retained, provenance, n, passthrough, where="", error=GridMismatchError):
+    """The retained rule: each index is in [0, n) and, except in the pass-through, has one tag."""
+    indices = np.asarray(retained)
+    if (outside := indices[(indices < 0) | (indices >= n)]).size:
+        raise error(f"{where}retained index {outside[0]} not in [0, {n})")
+    if not passthrough and len(provenance) != len(retained):
+        raise error(f"{where}{len(provenance)} tags for {len(retained)} indices")
 
 
 @dataclass(frozen=True)

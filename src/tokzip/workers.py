@@ -6,11 +6,14 @@ About half of a CLI sub-image's work (tensor reads, key norms, the walks'
 comparisons, writes) runs in numpy outside BLAS, which releases the GIL, so
 two sub-images overlap on two cores. Two at once would contend for the
 cores with OpenBLAS's own threads, so while two run, its thread count is 1.
+
+The two run on concurrent.futures.ThreadPoolExecutor, imported only when a
+map runs two at once: imported with this module, it raised the peak memory
+of the N=2304 library benchmark, which never maps two, by 5 to 9.5 MiB.
 """
 
 import ctypes
 import functools
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +38,13 @@ def openblas_threads():
 def map_two(fn, items):
     """Yield fn(item) for each item in input order, running at most two at a time.
 
-    One item runs on the calling thread and one on a worker thread; each takes
-    the next item when it is free. Once an item has failed no item is started:
-    the results before the earliest failure are yielded, then its exception is
-    raised. OpenBLAS runs at 1 thread while the two share the cores; its thread
-    count is process-wide and restored on the way out. Without numpy's OpenBLAS,
-    with fewer than 2 BLAS threads or with fewer than 2 items, the items run one
-    after another on the calling thread.
+    The items start in input order on a pool of two threads. Once an item has
+    failed, no later item is started: the results before the earliest failure
+    are yielded, then its exception is raised. Once the caller stops reading,
+    no item is started. OpenBLAS runs at 1 thread while the two share the
+    cores; its thread count is process-wide and restored on the way out.
+    Without numpy's OpenBLAS, with fewer than 2 BLAS threads or with fewer
+    than 2 items, the items run one after another on the calling thread.
     """
     items = list(items)
     blas = openblas_threads()
@@ -49,43 +52,24 @@ def map_two(fn, items):
     if threads < 2 or len(items) < 2:
         yield from map(fn, items)
         return
-    lock, stop = threading.Lock(), threading.Event()
-    untaken, outcomes = iter(range(len(items))), {}  # index -> (ok, result or exception)
+    from concurrent.futures import ThreadPoolExecutor  # here, not above: see the module docstring
+    failed = []  # the indices of the items that raised; -1 once the map is left
 
-    def run_next():
-        """Run the next item on this thread; False once none is left or one has failed."""
-        with lock:
-            i = None if stop.is_set() else next(untaken, None)
-        if i is None:
-            return False
+    def run(i):
+        if any(k < i for k in failed):  # the map raises or stops before this result
+            return None
         try:
-            outcomes[i] = (True, fn(items[i]))
-        except BaseException as e:  # raised again on the calling thread, in input order
-            outcomes[i] = (False, e)
-            stop.set()
-        return True
+            return fn(items[i])
+        except BaseException:
+            failed.append(i)
+            raise
 
-    def work():
-        while run_next():
-            pass
-
-    worker = threading.Thread(target=work, name="tokzip-map_two")
     blas[1](1)
     try:
-        worker.start()
-        try:
-            i = 0
-            while i < len(items):
-                if i in outcomes:
-                    ok, value = outcomes.pop(i)
-                    if not ok:
-                        raise value
-                    yield value
-                    i += 1
-                elif not run_next():
-                    worker.join()  # then every item started has its outcome
-        finally:
-            stop.set()
-            worker.join()
+        with ThreadPoolExecutor(2) as pool:
+            try:
+                yield from pool.map(run, range(len(items)))
+            finally:
+                failed.append(-1)
     finally:
         blas[1](threads)

@@ -145,7 +145,7 @@ GOOD_FIELDS = {"grid_shape": [2, 3], "crop_position": [2, 3], "is_global": True,
     ("grid_shape", (1, 2, 3)),
     ("crop_position", (-1, 0)), ("crop_position", ("a", 0)), ("crop_position", (0,)),
     ("is_global", "no"), ("dataset", ["x"]), ("image_id", "../x"), ("image_id", 7),
-    ("image_id", ""),
+    ("image_id", ""), ("image_id", "."),
 ])
 def test_bundle_and_manifest_share_the_grid_and_position_rule(field, value, tmp_path):
     b = _small_bundle(n=6)  # grid (2, 3): the bad grids multiply to 6 as well
@@ -259,6 +259,15 @@ def test_repeated_file_stem_refused(tmp_path):
     with pytest.raises(TokzipError, match="'subimage'"):
         write_results(tmp_path / "out", unnamed, results, {"seed": 0})
     assert not (tmp_path / "out").exists() and not (tmp_path / "in").exists()
+
+
+def test_write_results_refuses_a_result_count_unlike_the_bundles(tmp_path):
+    bundles = [_small_bundle(seed=s, n=8) for s in (1, 2)]
+    results = compress_document(bundles)
+    for fewer, more in ((bundles, results[:1]), (bundles[:1], results)):
+        with pytest.raises(DimensionMismatchError, match="^[12] results for [12] sub-images$"):
+            write_results(tmp_path / "out", fewer, more, {"seed": 0})
+    assert not list(tmp_path.iterdir())
 
 
 def test_writers_refuse_two_global_images(tmp_path):

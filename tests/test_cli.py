@@ -205,9 +205,16 @@ TWO_GLOBALS = {"results.json": _index("m.json", "g.json", "g2.json"),
                "m.json": json.dumps(SUB_A_META), "g.json": json.dumps(GLOBAL_META),
                "g2.json": json.dumps(GLOBAL_META | {"image_id": "sub_b"})}
 
-# sub_a's meta, but its retained index is negative: render_masks, not only masks, refuses it.
+# sub_a's meta, but its retained index is negative: load_results refuses it.
 NEGATIVE_INDEX_META = json.dumps(SUB_A_META | {"retained_indices": [-1],
                                                "branch_provenance": ["local"]})
+
+
+def _later_bad_meta(**fields):
+    """A valid meta of sub_a, then a meta n.json that masks must refuse before writing sub_a's."""
+    return {"results.json": _index("m.json", "n.json"), "m.json": json.dumps(SUB_A_META),
+            "n.json": json.dumps(SUB_A_META | fields)}
+
 
 # A 184-byte config whose min_retained is a list of aliases nested four levels
 # deep: its full repr is 107,697 characters.
@@ -225,7 +232,8 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # and a misspelled config section was ignored.
 # masks_meta_grid_too_large would allocate 838 GiB if masks trusted the meta's grid;
 # masks --scale 10**10 asked numpy for a 5.24 TiB raster, and 10**20 overflowed.
-# masks_negative_retained_index was already one error line; it keeps the check that moved.
+# masks_negative_retained_index was already one error line, from render_masks; load_results
+# now refuses it, naming the meta file.
 # negative_seed and compress_negative_seed were one error line too, but it blamed the
 # config's selection section, which baseline does not even read, instead of --seed.
 # stage_error_names_the_crop was one error line too, but it did not say which crop failed.
@@ -236,6 +244,8 @@ ALIASED_CONFIG = ("selection:\n  min_retained: [&d [&c [&b [&a [1, 1, 1, 1, 1, 1
 # middle_tensor_in_middle_entry was one error line too; its entry runs beside the ones around it.
 # masks_repeated_image_id and results_two_global_images_* exited 0: masks wrote sub_a's
 # masks twice, the second over the first, and stats and masks read two global images.
+# masks_later_unknown_image_id and masks_later_index_out_of_range wrote sub_a's masks before
+# they failed, and masks_image_id_dot exited 0 after writing o_redundancy.pgm beside --out o.
 BAD_INPUTS = {
     "unknown_config_key": ({"c.yaml": "density:\n  alpah: 0.5\n"},
                            "compress --manifest {manifest} --out {t}/o --config {t}/c.yaml"),
@@ -336,6 +346,17 @@ BAD_INPUTS = {
                                  "m.json": json.dumps(SUB_A_META)},
                                 "masks --manifest {manifest} --results {t}/results.json "
                                 "--out {t}/o"),
+    "masks_later_unknown_image_id": (_later_bad_meta(image_id="nope"),
+                                     "masks --manifest {manifest} --results {t}/results.json "
+                                     "--out {t}/o"),
+    "masks_later_index_out_of_range": (_later_bad_meta(image_id="sub_b",
+                                                       retained_indices=[0, 5, 10, 16]),
+                                       "masks --manifest {manifest} --results {t}/results.json "
+                                       "--out {t}/o"),
+    "masks_image_id_dot": ({"m.yaml": f"subimages: [{{{SUB_A}, image_id: '.'}}]\n",
+                            "results.json": ONE_META,
+                            "m.json": json.dumps(SUB_A_META | {"image_id": "."})},
+                           "masks --manifest {t}/m.yaml --results {t}/results.json --out {t}/o"),
     "results_two_global_images_stats": (TWO_GLOBALS, "stats --results {t}/results.json --out {t}/o"),
     "results_two_global_images_masks": (TWO_GLOBALS, "masks --manifest {manifest} "
                                                      "--results {t}/results.json --out {t}/o"),
@@ -379,12 +400,16 @@ def test_bad_input_is_one_error_line(case, manifest, tmp_path, capsys):
         assert "is_global_passthrough must be a bool, got 'false'" in err
     if case == "meta_unknown_branch_tag":
         assert "branch_provenance must be a list of" in err
-    if case == "masks_unknown_image_id":
+    if case.endswith("unknown_image_id"):
         assert "'nope' is not in" in err
+    if case == "masks_later_index_out_of_range":
+        assert f"{tmp_path / 'n.json'}: retained index 16 not in [0, 16)" in err
+    if case == "masks_image_id_dot":
+        assert "subimage 0: image_id must be a file name, got '.'" in err
     if case == "masks_meta_grid_too_large":
         assert "does not tile 4 tokens" in err
     if case == "masks_negative_retained_index":
-        assert err.startswith("error: GridMismatchError: sub_a: retained index -1")
+        assert err.startswith(f"error: ParseError: {tmp_path / 'm.json'}: retained index -1 ")
     if case == "label_of_the_root_folder":
         assert "labels must be file names, got ['']" in err
     if case == "masks_repeated_image_id":

@@ -1,9 +1,12 @@
 """map_two: input order, failures and the serial fallback, on stand-in BLAS functions."""
 
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +46,10 @@ def test_without_two_blas_threads_items_run_on_the_calling_thread(count, monkeyp
 
 
 def test_the_earliest_failure_is_raised(blas):
-    second_failed = threading.Event()
+    second_failed, ran = threading.Event(), []
 
     def fail(x):
+        ran.append(x)
         if x == 0:
             assert second_failed.wait(timeout=60)
         elif x == 1:
@@ -54,7 +58,51 @@ def test_the_earliest_failure_is_raised(blas):
 
     with pytest.raises(ValueError, match="^0$"):
         list(workers.map_two(fail, range(5)))
-    assert blas == [2]
+    assert sorted(ran) == [0, 1] and blas == [2]
+
+
+def test_results_before_a_later_failure_are_yielded(blas):
+    second_failed, results = threading.Event(), []
+
+    def fail_second(x):
+        if x == 1:
+            second_failed.set()
+            raise ValueError(x)
+        assert second_failed.wait(timeout=60)
+        return -x
+
+    with pytest.raises(ValueError, match="^1$"):
+        for result in workers.map_two(fail_second, range(5)):
+            results.append(result)
+    assert results == [0] and blas == [2]
+
+
+def test_no_item_starts_once_the_caller_stops_reading(blas):
+    release, started = threading.Event(), []
+
+    def hold(x):
+        started.append(x)
+        if x:  # every item but the first waits until the map is being closed
+            assert release.wait(timeout=60)
+        return x
+
+    results = workers.map_two(hold, range(10))
+    assert next(results) == 0
+    timer = threading.Timer(0.5, release.set)  # close() waits for the items running
+    timer.start()
+    results.close()
+    timer.join()
+    assert set(started) <= {0, 1, 2} and blas == [2]
+
+
+def test_importing_the_cli_leaves_the_pool_unimported():
+    """The pool is imported where two items run at once; see the workers module docstring."""
+    src = Path(workers.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", "import sys, tokzip, tokzip.cli; "
+                           "print('concurrent.futures' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0 and done.stdout == "False\n"
 
 
 def test_each_item_runs_once_under_fast_switching(monkeypatch):
