@@ -2,14 +2,19 @@
 
 The oracles re-derive every checkable quantity from scratch (separate code,
 no reuse of the main modules' kernels) so that equivalence tests actually
-test something. The generator builds key matrices with a known redundancy
-structure: clusters of near-identical vectors against mutually orthogonal
-unique vectors, so the expected information density is known by construction.
+test something. They are exact: a cosine decision is screened on float64
+products and made in Python integers when the product falls within a wide
+margin of the threshold (oracle_margin), and the IQR fence is a Fraction.
+The generator builds key matrices with a known redundancy structure:
+clusters of near-identical vectors against mutually orthogonal unique
+vectors, so the expected information density is known by construction.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -164,6 +169,11 @@ def baseline_select(method, attn_deep, attn_low, density, cfg=SelectionConfig(),
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+# Rows per block product in oracle_density: one block's float64 products and
+# masks take a few MiB at N = 2304, whatever the document.
+ORACLE_BLOCK_ROWS = 64
+
+
 def _unit_rows(keys):
     """float64 unit rows, each scaled by a power of two first, so that no square overflows."""
     k = np.array(keys, dtype=np.float64)  # the one N x D copy: scaled and divided in place
@@ -173,44 +183,133 @@ def _unit_rows(keys):
     return k
 
 
+def oracle_margin(d):
+    """Width d 2^-40 of the band, around alpha or a k-th cosine, that the oracles decide exactly.
+
+    It bounds |float64 dot product of two _unit_rows rows - exact cosine of
+    the two keys| many times over. With u = 2^-53 and gamma_d = d u / (1 - d u):
+    the power-of-two scaling is exact but for entries that become subnormal,
+    each off by at most 2^-1075 in a row of norm at least 1/2, which moves a
+    cosine by at most sqrt(d) 2^-1073. The sum of d squares, in any order, is
+    off by a relative gamma_d, plus d 2^-1072 for squares that underflow; its
+    square root and the division add one rounding each. So a unit entry is
+    a_t / |a| (1 + rho_t) + eta_t with |rho_t| <= rho = gamma_d / 2 + 2u
+    (+ d 2^-1073), to first order, and |eta_t| <= 2^-1075, and the exact dot
+    product of two such rows is within 2 rho + rho^2 + sqrt(d) 2^-1073 of
+    their cosine. The float64 dot product, in any summation order, with or
+    without FMA, adds gamma_d (1 + rho)^2, plus d 2^-1074 for products and
+    sums that underflow. The total is below (2d + 6) u + 16 d 2^-1074.
+    d 2^-40 = 8192 d u covers it at least 1,000 times at d = 1 and about
+    4,000 times from d = 100 on (9.3e-10 at d = 1024), and with it the
+    float64 rounding of the screens' own differences, x - alpha and kth +- 2
+    margin.
+    """
+    return d * 2.0**-40
+
+
+def _exact_cosines(keys, i, j, rows):
+    """sign(cos) cos^2 of each pair of key rows (keys[i[t]], keys[j[t]]), exactly.
+
+    The rows are taken as given, in float64. Each becomes Python integers once
+    per oracle call, cached in the dict `rows`: its entries' ratios scaled by
+    their largest denominator, a power of two, which leaves every cosine as it
+    is. sign(cos) cos^2 orders as the cosine does.
+    """
+    for r in set(i) | set(j):
+        if r not in rows:
+            ratios = [x.as_integer_ratio() for x in np.asarray(keys[r], dtype=np.float64).tolist()]
+            scale = max(q for _, q in ratios)
+            ints = [p * (scale // q) for p, q in ratios]
+            rows[r] = ints, sum(map(mul, ints, ints))
+    out = []
+    for a, b in zip(i, j):
+        x = sum(map(mul, rows[a][0], rows[b][0]))
+        out.append(Fraction(x * abs(x), rows[a][1] * rows[b][1]))
+    return out
+
+
 def oracle_density(keys, alpha, limit_k, count_self=False):
-    """Naive per-row threshold count; returns (n_redundant, redundant_mask)."""
+    """Each row's peers above alpha, counted in full; returns (n_redundant, redundant_mask).
+
+    Blocks of ORACLE_BLOCK_ROWS unit rows are multiplied in float64 with all N
+    unit rows, and every pair, (i, j) and (j, i) alike, is decided on its own:
+    by its float64 value when that is more than oracle_margin(d) from alpha,
+    and otherwise exactly, by _exact_cosines against sign(alpha) alpha^2. No
+    N x N matrix is formed: only one block of products and its masks at a time.
+    """
+    keys = np.asarray(keys)
     kn = _unit_rows(keys)
-    n = kn.shape[0]
+    n, margin = kn.shape[0], oracle_margin(kn.shape[1])
+    a = Fraction(float(alpha))
+    bar, rows = a * abs(a), {}
     mask = np.zeros(n, dtype=bool)
-    for i in range(n):
-        similar = kn @ kn[i] > alpha
+    for lo in range(0, n, ORACLE_BLOCK_ROWS):
+        hi = min(lo + ORACLE_BLOCK_ROWS, n)
+        sim = kn[lo:hi] @ kn.T
+        similar = sim > alpha
+        sim -= alpha
+        near = ~(np.abs(sim, out=sim) > margin)
+        if near.any():
+            r, c = np.nonzero(near)
+            exact = _exact_cosines(keys, (lo + r).tolist(), c.tolist(), rows)
+            similar[r, c] = [x > bar for x in exact]
         if not count_self:
-            similar[i] = False
-        mask[i] = np.count_nonzero(similar) > limit_k
+            similar[np.arange(hi - lo), np.arange(lo, hi)] = False
+        mask[lo:hi] = np.count_nonzero(similar, axis=1) > limit_k
     return int(mask.sum()), mask
 
 
 def oracle_global_select(scores, iqr_factor=1.5):
-    """Sort-based fence computation with explicit order-statistic interpolation."""
-    v = sorted(float(x) for x in scores)
-    n = len(v)
+    """Indices whose score exceeds the exact upper fence Q3 + iqr_factor (Q3 - Q1).
+
+    The quartiles interpolate between the sorted scores at p = q (n - 1)
+    (type 7); they and the fence are Fractions of the float scores and of
+    iqr_factor as a double, and each score is compared with the fence
+    exactly. A fence beyond the float range keeps nothing.
+    """
+    x = [float(s) for s in scores]
+    v = sorted(x)
 
     def q(frac):
-        p = frac * (n - 1)
+        p = frac * (len(v) - 1)
         lo = math.floor(p)
-        hi = math.ceil(p)
-        return v[lo] + (p - lo) * (v[hi] - v[lo])
+        return Fraction(v[lo]) + (p - lo) * (Fraction(v[math.ceil(p)]) - Fraction(v[lo]))
 
-    fence = q(0.75) + iqr_factor * (q(0.75) - q(0.25))
-    return [i for i, x in enumerate(scores) if x > fence]
+    q1, q3 = q(Fraction(1, 4)), q(Fraction(3, 4))
+    fence = q3 + Fraction(float(iqr_factor)) * (q3 - q1)
+    return [i for i, s in enumerate(x) if s > fence]
 
 
 def oracle_aggregate(tokens, keys, attn, retained, knn_k, include_self=True, normalize=True):
-    """Exhaustive neighbor search + explicit weighted sums, one row per index."""
+    """Each retained row's exact knn_k nearest neighbours and their weighted sum, in order.
+
+    Row t of the result is for retained[t]. Each retained row's float64
+    products with all N unit rows give its k-th largest, kth, among the
+    other rows; every row more than 2 oracle_margin(d) above kth is a
+    neighbour, every row more than that below it is not, and the rest fill
+    the group's remaining places in (exact cosine desc, index asc) order,
+    from _exact_cosines. The group's weights are summed explicitly, row by row.
+    """
     y = np.asarray(tokens, dtype=np.float64)
+    keys = np.asarray(keys)
     kn = _unit_rows(keys)
-    n = y.shape[0]
-    rows = []
-    for l in sorted(int(i) for i in retained):
-        sims = [float(kn[l] @ kn[j]) for j in range(n)]
-        candidates = sorted((j for j in range(n) if j != l), key=lambda j: (-sims[j], j))
-        group = candidates[:knn_k]
+    n, margin = kn.shape[0], 2 * oracle_margin(kn.shape[1])
+    k = min(knn_k, n - 1)
+    rows, out = {}, []
+    for l in (int(i) for i in retained):
+        group = []
+        if k:
+            sims = kn @ kn[l]
+            sims[l] = -np.inf
+            kth = np.partition(sims, n - k)[n - k]
+            above = np.flatnonzero(sims > kth + margin)
+            band = np.flatnonzero(~(np.abs(sims - kth) > margin))
+            group = above[np.lexsort((above, -sims[above]))].tolist()
+            band = band[np.lexsort((band, -sims[band]))].tolist()
+            if len(band) > k - len(group):
+                exact = _exact_cosines(keys, [l] * len(band), band, rows)
+                band = [b for _, b in sorted(zip([-x for x in exact], band))]
+            group += band[: k - len(group)]
         if include_self:
             group = [l] + group
         w = [float(attn[p]) for p in group]
@@ -220,8 +319,8 @@ def oracle_aggregate(tokens, keys, attn, retained, knn_k, include_self=True, nor
         acc = np.zeros(y.shape[1])
         for weight, p in zip(w, group):
             acc += weight * y[p]
-        rows.append(acc)
-    return np.vstack(rows)
+        out.append(acc)
+    return np.vstack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +329,32 @@ def oracle_aggregate(tokens, keys, attn, retained, knn_k, include_self=True, nor
 
 def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+def tie_keys_7_10():
+    """60 keys [4, 2, 1, 0, .., 3, .., 0] whose every cosine is exactly 7/10.
+
+    That is just above alpha = 0.7, a double below 7/10, and a float64 product
+    rounds it either way, so at limit_k = 58 only an exact decision finds
+    every row redundant.
+    """
+    keys = np.zeros((60, 63))
+    keys[:, :3] = [4, 2, 1]
+    keys[np.arange(60), 3 + np.arange(60)] = 3
+    return keys
+
+
+# Rows 6 and 9 both have cosine exactly 0 with row 0, and float64 gives them
+# -2e-17 and 3e-17: at knn_k = 5, row 0's 5th neighbour is row 6, decided exactly.
+TIE_KNN_KEYS = ((1, 2, 2, -3), (-2, -3, 0, 3), (2, 2, 2, -1), (3, -3, -3, -1), (0, -1, 0, 3),
+                (0, -1, 1, -3), (3, 3, -3, 1), (3, -3, -2, -3), (3, 0, 3, -3), (1, 1, 0, 1),
+                (-3, -3, 1, 2), (3, 2, 0, 3))
+
+# Score lists whose exact IQR fence and its float64 evaluation fall on either
+# side of a score, with the indices an exact fence keeps: the first fence is
+# 0.80000000000000001665, just below the double 0.8.
+IQR_TIES = (((0.8, 0.4, 0.3, 0.6, 0.5, 0.2, 0.4, 0.1, 0.3), [0]),
+            ((0.4, 0.1, 0.4, 0.7), []))
 
 
 def _clustered_keys(rng, n, d, n_clusters):
@@ -271,7 +396,10 @@ def _density_equivalence(rng, n_instances):
     keys[loose] += 0.8 * rng.standard_normal((int(loose.sum()), 16))
     if not _density_matches(keys, 0.8, 5, False):
         return _check("density_oracle", False, "mismatch at the early-stop instance")
-    return _check("density_oracle", True, f"{n_instances + 2} instances, exact match")
+    if not _density_matches(tie_keys_7_10(), 0.7, 58, False):
+        return _check("density_oracle", False, "mismatch at the 7/10 tie")
+    return _check("density_oracle", True,
+                  f"{n_instances + 3} instances, exact match, the 7/10 tie decided exactly")
 
 
 def _iqr_equivalence(rng, n_instances):
@@ -284,7 +412,11 @@ def _iqr_equivalence(rng, n_instances):
         want = oracle_global_select(scores)
         if got != want:
             return _check("iqr_oracle", False, f"mismatch at instance {t}")
-    return _check("iqr_oracle", True, f"{len(cases)} instances, exact match")
+    for t, (scores, want) in enumerate(IQR_TIES):
+        if global_select(scores).tolist() != want or oracle_global_select(scores) != want:
+            return _check("iqr_oracle", False, f"mismatch at fence tie {t}")
+    return _check("iqr_oracle", True, f"{len(cases) + len(IQR_TIES)} instances, exact match, "
+                                      f"the {len(IQR_TIES)} fence ties decided exactly")
 
 
 def _aggregation_equivalence(rng, n_instances):
@@ -315,7 +447,13 @@ def _aggregation_equivalence(rng, n_instances):
     want = oracle_aggregate(tokens, keys, attn, retained, 4)
     if not np.allclose(got, want, atol=1e-6, rtol=0):
         return _check("aggregation_oracle", False, "mismatch at the multi-block instance")
-    return _check("aggregation_oracle", True, f"{n_instances + 1} instances, within 1e-6")
+    keys = np.array(TIE_KNN_KEYS, dtype=np.float64)
+    tokens, attn = rng.standard_normal((len(keys), 4)), rng.uniform(0.01, 1.0, size=len(keys))
+    got = aggregate(tokens, keys, attn, [0], AggregationConfig(knn_k=5))
+    if not np.allclose(got, oracle_aggregate(tokens, keys, attn, [0], 5), atol=1e-6, rtol=0):
+        return _check("aggregation_oracle", False, "mismatch at the cosine-0 tie")
+    return _check("aggregation_oracle", True,
+                  f"{n_instances + 2} instances within 1e-6, the cosine-0 tie decided exactly")
 
 
 def first_draw_frequency(weights, index, trials, seed=0):

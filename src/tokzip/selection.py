@@ -9,10 +9,11 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core import check_attention_vector, quantile
+from .core import check_attention_vector
 from .errors import InsufficientSupportError, check_field, is_number
 
 CONFIG_RULES = {
@@ -45,14 +46,37 @@ class SelectionResult:
 def global_select(attn_deep, cfg=SelectionConfig()):
     """Indices whose deep-layer attention exceeds the IQR upper fence.
 
-    Fence = Q3 + iqr_factor * (Q3 - Q1). Only upper outliers are kept; tokens
-    below the lower fence carry no global information worth preserving.
+    Fence = Q3 + iqr_factor * (Q3 - Q1), decided exactly (_upper_fence). Only
+    upper outliers are kept; tokens below the lower fence carry no global
+    information worth preserving.
     """
     scores = check_attention_vector(attn_deep, "attn_deep")
-    q1 = quantile(scores, 0.25)
-    q3 = quantile(scores, 0.75)
-    fence = q3 + cfg.iqr_factor * (q3 - q1)
-    return np.flatnonzero(scores > fence)
+    return np.flatnonzero(scores > _upper_fence(scores, cfg.iqr_factor))
+
+
+def _upper_fence(scores, iqr_factor):
+    """The largest double <= Q3 + iqr_factor (Q3 - Q1), for a score array as checked.
+
+    The quartiles interpolate between the sorted scores at p = q (n - 1)
+    (type 7, as core.quantile); they and the fence are Fractions of the
+    float scores and of iqr_factor as a double. A double exceeds the fence
+    exactly when it exceeds the value returned, so the comparison stays one
+    vectorised `scores > t`. A fence beyond the float range gives the
+    largest double, which no finite score exceeds.
+    """
+    v = np.sort(scores)
+
+    def q(p):
+        lo = math.floor(p)
+        low = Fraction(v[lo])
+        return low + (p - lo) * (Fraction(v[min(lo + 1, v.size - 1)]) - low)
+
+    q1, q3 = q(Fraction(v.size - 1, 4)), q(Fraction(3 * (v.size - 1), 4))
+    fence = q3 + Fraction(float(iqr_factor)) * (q3 - q1)
+    if fence >= sys.float_info.max:
+        return sys.float_info.max
+    t = float(fence)
+    return t if t <= fence else math.nextafter(t, -math.inf)
 
 
 def local_sample_count(density, n_tokens):

@@ -21,7 +21,9 @@ from tokzip import (
     local_sample_count,
 )
 from tokzip.errors import InfeasibleSpecError
-from tokzip.harness import chi2_sf, oracle_aggregate, oracle_density, uniform_subset_chisquare
+from tokzip.aggregation import AggregationConfig, aggregate
+from tokzip.harness import (TIE_KNN_KEYS, chi2_sf, oracle_aggregate, oracle_density,
+                            tie_keys_7_10, uniform_subset_chisquare)
 
 
 class TestGenerate:
@@ -156,6 +158,8 @@ class TestOracles:
         def boom(*args, **kwargs):
             raise AssertionError("an oracle called the code it checks")
 
+        for name in ("_exact", "_exceeds", "cosines"):
+            monkeypatch.setattr(tokzip.core.CosineKeys, name, boom)
         for module in (tokzip.core, tokzip.harness):
             for name in ("CosineKeys", "key_row_norms", "similarity_matrix"):
                 if hasattr(module, name):
@@ -163,6 +167,57 @@ class TestOracles:
         y, keys, attn = rng.standard_normal((20, 4)), rng.standard_normal((20, 6)), rng.random(20)
         oracle_density(keys, 0.2, 1)
         oracle_aggregate(y, keys, attn, [1, 7], 2)
+        # The ties below take the oracles' exact paths.
+        assert oracle_density(tie_keys_7_10(), 0.7, 58)[0] == 60
+        y, keys = rng.standard_normal((12, 4)), np.array(TIE_KNN_KEYS, dtype=np.float64)
+        oracle_aggregate(y, keys, rng.random(12), [0], 5)
+
+    @pytest.mark.parametrize("count_self", [False, True])
+    def test_density_oracle_decides_the_7_10_tie(self, count_self):
+        # Every cosine is exactly 7/10, above the double alpha = 0.7; a float64
+        # product rounds some of them to it or below.
+        keys = tie_keys_7_10()
+        cfg = DensityConfig(alpha=0.7, limit_k=58, count_self=count_self)
+        n, mask = oracle_density(keys, 0.7, 58, count_self)
+        assert (n, mask.all()) == (60, True)
+        np.testing.assert_array_equal(mask, compute_density(keys, cfg).redundant_mask)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_aggregation_oracle_decides_the_cosine_0_tie(self, seed):
+        # Rows 6 and 9 have cosine exactly 0 with row 0; row 6, the lower index,
+        # is its 5th neighbour.
+        rng = np.random.default_rng(seed)
+        keys = np.array(TIE_KNN_KEYS, dtype=np.float64)
+        y, attn = rng.standard_normal((12, 4)), rng.uniform(0.01, 1.0, size=12)
+        group = [0, 2, 8, 5, 7, 6]  # row 0 itself, then its 5 neighbours
+        want = attn[group] @ y[group] / attn[group].sum()
+        got = oracle_aggregate(y, keys, attn, [0], 5)
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
+        lib = aggregate(y, keys, attn, [0], AggregationConfig(knn_k=5))
+        np.testing.assert_allclose(got, lib, rtol=0, atol=1e-12)
+
+    def test_aggregation_oracle_keeps_the_callers_order(self, rng):
+        y, keys, attn = rng.standard_normal((20, 4)), rng.standard_normal((20, 6)), rng.random(20)
+        got = oracle_aggregate(y, keys, attn, [9, 2, 14], 3)
+        want = aggregate(y, keys, attn, [9, 2, 14], AggregationConfig(knn_k=3))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_exact_comparisons_only_inside_the_margin(self, rng, monkeypatch):
+        pairs = []
+
+        def counting(keys, i, j, rows):
+            pairs.append(len(i))
+            return exact(keys, i, j, rows)
+
+        exact = tokzip.harness._exact_cosines
+        monkeypatch.setattr(tokzip.harness, "_exact_cosines", counting)
+        keys = rng.standard_normal((64, 16))
+        _, mask = oracle_density(keys, 0.3, 2)
+        np.testing.assert_array_equal(
+            mask, compute_density(keys, DensityConfig(alpha=0.3, limit_k=2)).redundant_mask)
+        assert sum(pairs) == 0
+        oracle_density(tie_keys_7_10(), 0.7, 58)
+        assert sum(pairs) == 60 * 59  # every pair but a row with itself, each way
 
 
 class TestChi2Sf:

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,7 @@ from tokzip import (
     select_tokens,
 )
 from tokzip.errors import EmptyInputError, InsufficientSupportError, NonFiniteValueError
-from tokzip.harness import chi2_sf, oracle_global_select
+from tokzip.harness import IQR_TIES, chi2_sf, oracle_global_select
 
 
 class TestGlobalSelect:
@@ -40,6 +41,19 @@ class TestGlobalSelect:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             global_select([])
+
+    @pytest.mark.parametrize("scores,want", IQR_TIES)
+    def test_the_fence_is_exact(self, scores, want):
+        # The exact fence and its float64 evaluation fall on either side of a score.
+        assert global_select(scores).tolist() == want
+        assert oracle_global_select(scores) == want
+
+    def test_a_fence_beyond_the_float_range_keeps_nothing(self):
+        scores = [1.0, 2.0, 3.0, 4.0, 1e308]  # iqr_factor * (Q3 - Q1) is twice the largest double
+        cfg = SelectionConfig(iqr_factor=sys.float_info.max)
+        assert global_select(scores, cfg).tolist() == []
+        assert oracle_global_select(scores, sys.float_info.max) == []
+        assert global_select(scores).tolist() == oracle_global_select(scores) == [4]
 
 
 @pytest.mark.parametrize("iqr_factor", [0.0, -1.0, float("nan"), float("inf")])
